@@ -114,14 +114,6 @@ QUERY_OPERATORS = (("box", "f"), ("defbox", "f"), ("dia", "f"),
                    ("defdia", "f"), ("box", "m"), ("defbox", "m"),
                    ("dia", "m"), ("defdia", "m"))
 
-# Queries of the seeded form on which the engine fails at this point
-# (see CHANGES.md); a run draws only from the others, so that the share
-# of failed operations does not depend on the seed.
-ENTAIL_EXCLUDED = {
-    "(p -> <<f>>~h)": "in the hand-written group, which fails on it",
-    "(h -> <<f>>~h)": "ResourceLimitError at every depth, though entailed",
-}
-
 
 def query(antecedent, operator, consequent):
     kind, modality = operator
@@ -130,10 +122,12 @@ def query(antecedent, operator, consequent):
 
 def entail_pool():
     """Every `literal -> M literal` query whose antecedent is p or h, the
-    literals that trigger the KB's rules, except the excluded ones."""
-    queries = [query(a, operator, b) for operator in QUERY_OPERATORS
-               for a in (p, h) for b in LITERALS]
-    return [q for q in queries if render(q) not in ENTAIL_EXCLUDED]
+    literals that trigger the KB's rules, less those of the hand-written
+    group (`p -> <<f>>~h`), which every round holds anyway."""
+    hand = {q for _, kb, q, _ in HAND_QUERIES if kb == "powerplant"}
+    return [query(a, operator, b) for operator in QUERY_OPERATORS
+            for a in (p, h) for b in LITERALS
+            if query(a, operator, b) not in hand]
 
 
 # The hand-written group: (name, kb name, query tree, expected verdict).

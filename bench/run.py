@@ -5,11 +5,13 @@
 
 Runs from the root of a checkout and imports the package from src/.
 Each workload runs in fresh processes (bench/worker.py): one client in a
-closed loop, one operation after another.  Without --trace, the worker
-is started SETUP_RUNS times; each start is timed from process creation
-to the end of its warm-up, and the last one goes on to the timed rounds.
-With --trace 1 one worker reports the per-layer figures instead.  The
-last line printed for a workload is one JSON object:
+closed loop, one operation after another.  --seconds defaults to
+`run_seconds` of BENCHMARK.json.  Without --trace, `setup_s` is the
+median set-up time of the worker that runs the operations and of the
+fresh workers started while it pauses (about SETUP_STARTS of
+worker.py, spread over the run); each is timed from process creation to the end of
+its warm-up.  With --trace 1 the worker reports the per-layer figures
+instead.  The last line printed for a workload is one JSON object:
 
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
@@ -21,10 +23,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import selectors
+import os
+import queue
+import signal
 import statistics
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -32,64 +37,110 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKER = HERE / "worker.py"
 NAMES = ("decide", "entail", "oracle", "modelcheck")
-SETUP_RUNS = 9
 SETUP_TIMEOUT = 60
-RUN_TIMEOUT = 150
 
 
 class BenchError(RuntimeError):
     pass
 
 
-def start_worker(name, seed, seconds, trace, setup_only):
-    """Start a worker; return (process, seconds until it was ready)."""
-    args = [sys.executable, str(WORKER), name, str(seed), str(seconds),
-            str(trace), str(int(setup_only))]
-    start = time.perf_counter()
-    proc = subprocess.Popen(args, cwd=ROOT, stdin=subprocess.DEVNULL,
-                            stdout=subprocess.PIPE, text=True)
-    with selectors.DefaultSelector() as sel:
-        sel.register(proc.stdout, selectors.EVENT_READ)
-        ready = sel.select(SETUP_TIMEOUT) and proc.stdout.readline()
-    elapsed = time.perf_counter() - start
-    if ready != "ready\n":
-        stop(proc)
-        raise BenchError(f"{name}: worker set-up failed "
-                         f"(exit code {proc.returncode})")
-    return proc, elapsed
+def run_timeout(seconds):
+    """How long one workload may take: a round may run past `seconds`,
+    and the traced run times two halves of at least one round each."""
+    return 4 * seconds + 60
 
 
-def stop(proc):
-    if proc.poll() is None:
-        proc.kill()
-    proc.communicate()
+class Worker:
+    """A worker process and the lines it prints, read by a thread so that
+    every wait for a line has a deadline."""
+
+    def __init__(self, name, seed, seconds, trace, setup_only):
+        self.name = name
+        args = [sys.executable, str(WORKER), name, str(seed), str(seconds),
+                str(trace), str(int(setup_only))]
+        self.started = time.perf_counter()
+        self.proc = subprocess.Popen(args, cwd=ROOT, stdin=subprocess.PIPE,
+                                     stdout=subprocess.PIPE, text=True,
+                                     start_new_session=True)
+        self.lines = queue.Queue()
+        self.reader = threading.Thread(target=self._read)
+        self.reader.start()
+
+    def _read(self):
+        for line in self.proc.stdout:
+            self.lines.put(line)
+        self.lines.put("")          # end of output
+
+    def readline(self, deadline):
+        try:
+            return self.lines.get(
+                timeout=max(0.0, deadline - time.perf_counter()))
+        except queue.Empty:
+            raise BenchError(f"{self.name}: worker timed out") from None
+
+    def ready(self):
+        """Seconds from process creation to the end of set-up."""
+        line = self.readline(time.perf_counter() + SETUP_TIMEOUT)
+        if line != "ready\n":
+            self.stop()
+            raise BenchError(f"{self.name}: worker set-up failed "
+                             f"(exit code {self.proc.returncode})")
+        return time.perf_counter() - self.started
+
+    def answer(self):
+        self.proc.stdin.write("go\n")
+        self.proc.stdin.flush()
+
+    def wait(self, deadline):
+        """The exit code, once the worker has ended."""
+        try:
+            return self.proc.wait(max(0.0, deadline - time.perf_counter()))
+        except subprocess.TimeoutExpired:
+            raise BenchError(f"{self.name}: worker timed out") from None
+
+    def stop(self):
+        """End the worker and whatever it started; wait for all of it."""
+        if self.proc.poll() is None:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        self.proc.wait()
+        self.reader.join()
+        self.proc.stdin.close()
+        self.proc.stdout.close()
 
 
-def finish(proc, name):
-    """The worker's remaining standard output, once it has exited."""
+def setup_start(name, seed):
+    """One fresh worker that only sets up; its set-up time."""
+    worker = Worker(name, seed, 0, 0, setup_only=True)
     try:
-        out, _ = proc.communicate(timeout=RUN_TIMEOUT)
-    except subprocess.TimeoutExpired:
-        stop(proc)
-        raise BenchError(f"{name}: worker timed out")
-    if proc.returncode != 0:
-        raise BenchError(f"{name}: worker exited with {proc.returncode}")
-    return out
+        elapsed = worker.ready()
+        if worker.wait(time.perf_counter() + SETUP_TIMEOUT) != 0:
+            raise BenchError(f"{name}: set-up worker failed")
+        return elapsed
+    finally:
+        worker.stop()
 
 
 def run_workload(name, seed, seconds, trace):
-    runs = 1 if trace else SETUP_RUNS
-    setups = []
-    for i in range(runs):
-        proc, elapsed = start_worker(name, seed, seconds, trace,
-                                     setup_only=i < runs - 1)
-        setups.append(elapsed)
-        out = finish(proc, name)
-    raw = json.loads(out.strip().splitlines()[-1])
+    deadline = time.perf_counter() + run_timeout(seconds)
+    worker = Worker(name, seed, seconds, trace, setup_only=False)
+    try:
+        setups = [worker.ready()]
+        line = worker.readline(deadline)
+        while line == "setup\n":
+            setups.append(setup_start(name, seed))
+            worker.answer()
+            line = worker.readline(deadline)
+        code = worker.wait(deadline)
+        if code != 0 or not line:
+            raise BenchError(f"{name}: worker exited with {code}")
+    finally:
+        worker.stop()
+    raw = json.loads(line)
     metrics = {k: {"value": v, "unit": unit}
                for k, (v, unit) in raw["metrics"].items()}
     if not trace:
         metrics["setup_s"] = {"value": statistics.median(setups), "unit": "s"}
+        print(f"{name}: {len(setups)} set-up starts", file=sys.stderr)
     for problem in raw["problems"]:
         print(f"{name}: WRONG: {problem}", file=sys.stderr)
     print(f"{name}: {raw['rounds']} rounds, latency_tail_ms is "
@@ -103,9 +154,12 @@ def main():
     parser.add_argument("--workload", default="all",
                         choices=NAMES + ("all",))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--seconds", type=float)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
+    if args.seconds is None:
+        with open(ROOT / "BENCHMARK.json") as fh:
+            args.seconds = json.load(fh)["run_seconds"]
     names = NAMES if args.workload == "all" else (args.workload,)
     results = []
     try:

@@ -5,16 +5,23 @@
 Started by run.py.  Prints "ready" when set-up ends (run.py times the
 set-up from the process start to that line).  With SETUP_ONLY=1 it then
 exits.  Otherwise it makes the inputs from the seed and runs whole
-rounds, one operation after another, until the operations have taken
-SECONDS.  After each round it checks every output of that round.  The
-last line it prints is a JSON object with the raw figures.  With
-TRACE=1 it spends half the time untraced and half traced, and reports
-the per-layer figures and the tracing overhead instead of the latencies.
+rounds, one operation after another, for SECONDS give or take half a
+round: it starts another round while at least half of it, at the mean
+round time so far, would fall within SECONDS.  Each time
+the operations have taken another SECONDS / SETUP_STARTS, it prints
+"setup" between two operations and waits, outside the timing, for the
+line "go": run.py makes one more set-up start in the meantime, so that
+the set-up starts are spread over the run like the operations.  After
+each round it checks every output of that round.  The last line it
+prints is a JSON object with the raw figures.  With TRACE=1 it spends
+half the time untraced and half traced, never pauses, and reports the
+per-layer figures and the tracing overhead instead of the latencies.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import resource
 import statistics
@@ -38,6 +45,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 CLI_RUNS = 5
 WARMUP_SECONDS = 1.0
+SETUP_STARTS = 10
 
 
 def warm_up(workload, ops):
@@ -60,19 +68,36 @@ class Tally:
         self.problems = []
 
 
-def run_rounds(workload, ops, seconds, tally):
-    """Whole rounds until the operations have taken `seconds` in all;
-    returns (latencies, round times).  Checks each round's outputs."""
+def request_setup_start():
+    """Let run.py make one set-up start; return when it has ended."""
+    print("setup", flush=True)
+    if sys.stdin.readline() != "go\n":
+        raise SystemExit("run.py did not answer")
+
+
+def run_rounds(workload, ops, seconds, tally, pause_every=math.inf):
+    """At least one round, and another while at least half of it would
+    fall within `seconds` of operations; returns (latencies, round
+    times).  Checks each round's outputs.  Whenever the operations have
+    taken another `pause_every` seconds, a set-up start is made between
+    two operations."""
     latencies, round_times = [], []
     clock = time.perf_counter
     run = workload.run
-    while not round_times or sum(round_times) < seconds:
+    taken, next_pause = 0.0, pause_every
+    while not round_times or \
+            sum(round_times) + statistics.mean(round_times) / 2 < seconds:
         outputs = []
         for op in ops:
             start = clock()
             out = run(op)
-            latencies.append(clock() - start)
+            elapsed = clock() - start
+            latencies.append(elapsed)
             outputs.append(out)
+            taken += elapsed
+            if taken >= next_pause:
+                request_setup_start()
+                next_pause += pause_every
         round_times.append(sum(latencies[-len(ops):]))
         tally.rounds += 1
         for op, out in zip(ops, outputs):
@@ -133,7 +158,8 @@ def main(argv):
         OUT.mkdir(exist_ok=True)
         tracer.write(OUT / f"trace-{name}.tsv")
     else:
-        latencies, round_times = run_rounds(workload, ops, seconds, tally)
+        latencies, round_times = run_rounds(workload, ops, seconds, tally,
+                                            seconds / SETUP_STARTS)
         peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         q = workload.tail_percentile
         metrics = {
