@@ -5,7 +5,7 @@ Subcommands:
     dmt valid "<formula>" [--countermodel-out FILE] [--trace]
     dmt check --model FILE ("<formula>" | "<a> |~ <b>") [--at WORLD | --global]
     dmt entails --kb FILE "<formula>" [--max-depth N] [--countermodel-out FILE]
-    dmt oracle-sat "<formula>" --max-worlds N
+    dmt oracle-sat "<formula>" --max-worlds N       (N at most 3)
 
 Formulas may be given inline or as @FILE to read from a file.  Exit
 codes: 0 affirmative, 1 negative, 2 usage or input error, 3 resource
@@ -19,16 +19,16 @@ import argparse
 import os
 import sys
 
-from . import engine, semantics, tableau
-from .engine import Entailed, NotEntailed, Unknown, load_kb
+from . import engine
+from .engine import Entailed, NotEntailed, load_kb
 from .semantics import (
-    ModelSignature, brute_force_satisfiable, holds_at, holds_conditional,
+    ModelError, brute_force_satisfiable, holds_at, holds_conditional,
     globally_true, load_model, save_model, signature_for,
 )
 from .syntax import (
-    Conditional, Not, Plain, SyntaxError_, parse_formula, parse_statement,
+    Conditional, Not, SyntaxError_, parse_formula, parse_statement,
 )
-from .tableau import Closed, Open, ResourceLimitError, decide
+from .tableau import Closed, ResourceLimitError, decide
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -40,7 +40,8 @@ class UsageError(Exception):
     pass
 
 
-def _read_formula_arg(text):
+def _read_arg(text, parse=parse_formula):
+    """Parse an inline formula argument, or the file it names as @FILE."""
     if text.startswith("@"):
         path = text[1:]
         try:
@@ -49,23 +50,9 @@ def _read_formula_arg(text):
         except OSError as exc:
             raise UsageError(f"cannot read formula file {path}: {exc}")
     try:
-        return parse_formula(text)
+        return parse(text)
     except SyntaxError_ as exc:
         raise UsageError(f"malformed formula: {exc}")
-
-
-def _read_statement_arg(text):
-    if text.startswith("@"):
-        path = text[1:]
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read formula file {path}: {exc}")
-    try:
-        return parse_statement(text)
-    except SyntaxError_ as exc:
-        raise UsageError(f"malformed statement: {exc}")
 
 
 def _limits():
@@ -90,7 +77,7 @@ def _print_trace(verdict):
 
 
 def cmd_sat(args):
-    f = _read_formula_arg(args.formula)
+    f = _read_arg(args.formula)
     verdict = decide(f, **_limits())
     if args.trace:
         _print_trace(verdict)
@@ -104,7 +91,7 @@ def cmd_sat(args):
 
 
 def cmd_valid(args):
-    f = _read_formula_arg(args.formula)
+    f = _read_arg(args.formula)
     verdict = decide(Not(f), **_limits())
     if args.trace:
         _print_trace(verdict)
@@ -122,13 +109,11 @@ def cmd_check(args):
         model = load_model(args.model)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot load model {args.model}: {exc}")
-    statement = _read_statement_arg(args.formula)
+    statement = _read_arg(args.formula, parse_statement)
     if isinstance(statement, Conditional):
         if args.at:
             raise UsageError("--at does not apply to conditional statements")
-        cond = semantics.Conditional(statement.antecedent,
-                                     statement.consequent)
-        if holds_conditional(model, cond):
+        if holds_conditional(model, statement):
             print("HOLDS (conditional)")
             return EXIT_YES
         print("FAILS (conditional)")
@@ -154,7 +139,7 @@ def cmd_entails(args):
         kb = load_kb(args.kb)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot load knowledge base {args.kb}: {exc}")
-    f = _read_formula_arg(args.formula)
+    f = _read_arg(args.formula)
     verdict = engine.global_entails(kb, f, max_depth=args.max_depth,
                                     **_limits())
     if isinstance(verdict, Entailed):
@@ -170,11 +155,11 @@ def cmd_entails(args):
 
 
 def cmd_oracle_sat(args):
-    f = _read_formula_arg(args.formula)
+    f = _read_arg(args.formula)
     sig = signature_for([f], max_worlds=args.max_worlds)
     try:
-        found = brute_force_satisfiable(f, sig, hard_cap=args.max_worlds)
-    except semantics.ModelError as exc:
+        found = brute_force_satisfiable(f, sig)
+    except ModelError as exc:
         raise UsageError(str(exc))
     if found is None:
         print(f"UNSAT (no model with at most {args.max_worlds} worlds)")
@@ -210,7 +195,8 @@ def build_parser():
     p.add_argument("--model", required=True, metavar="FILE")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--at", metavar="WORLD")
-    group.add_argument("--global", dest="global_", action="store_true")
+    group.add_argument("--global", dest="global_", action="store_true",
+                       help="evaluate at every world (the default)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("entails", help="knowledge-base global entailment")

@@ -13,16 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import semantics, tableau
+from . import tableau
 from .semantics import (
     Conditional, ModelSignature, PreferentialModel, enumerate_models,
-    extension, holds_at, satisfies_kb_globally, signature_for,
+    extension, holds_at, satisfies_kb_globally,
 )
 from .syntax import (
     And, Bottom, Box, Formula, Not, atoms_of, desugar, modal_depth,
     modalities_of, parse_formula,
 )
-from .tableau import Closed, Open, decide
+from .tableau import Closed, decide
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,15 @@ partial order on worlds ("preference"), lower meaning more normal.  The
 defeasible box holds at w when its operand holds at every most-preferred
 accessible world; the defeasible diamond when it holds at at least one.
 
+There is one evaluator, `_mask`, which gives the worlds satisfying a
+formula as a bitset: bit j stands for `model.worlds[j]`.  It reads
+tables that a model builds on first use (the bit of each world, a mask
+per atom, a successor row per world and modality, the preferred worlds
+of each world and a cache of minimal subsets).  `enumerate_models`
+builds these tables once per valuation, relation choice and order and
+shares them among the models it yields.  The public functions below
+read `_mask`.
+
 Also provides a bounded brute-force model enumerator used as an
 independent oracle by the test suite and the entailment engine.
 """
@@ -17,19 +26,31 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .syntax import (
-    And, Atom, Bottom, Box, DefBox, DefDia, Dia, Formula, Iff, Implies,
-    Not, Or, Top, Conditional as StmtConditional,
+    And, Atom, Bottom, Box, DefBox, DefDia, Dia, Formula, Iff, Implies, Not,
+    Or, Top,
 )
+from .syntax import Conditional  # noqa: F401  (re-exported)
 
 
 class ModelError(ValueError):
     """Raised for structurally invalid model data."""
 
 
-@dataclass(frozen=True)
-class Conditional:
-    antecedent: Formula
-    consequent: Formula
+def _rows(pairs, index):
+    """One bitset row per element: bit index[b] of row index[a] is set
+    for each pair (a, b)."""
+    rows = [0] * len(index)
+    for a, b in pairs:
+        rows[index[a]] |= 1 << index[b]
+    return rows
+
+
+def _valuation_masks(valuation, index):
+    masks = {}
+    for w, names in valuation.items():
+        for p in names:
+            masks[p] = masks.get(p, 0) | 1 << index[w]
+    return masks
 
 
 class PreferentialModel:
@@ -41,7 +62,7 @@ class PreferentialModel:
     """
 
     __slots__ = ("worlds", "atoms", "modalities", "relations", "valuation",
-                 "preference", "_succ", "_pred")
+                 "preference", "_index", "_val", "_succ", "_pred", "_mins")
 
     def __init__(self, worlds, atoms, modalities, relations, valuation,
                  preference):
@@ -51,27 +72,28 @@ class PreferentialModel:
         self.relations = {i: frozenset(pairs) for i, pairs in relations.items()}
         self.valuation = {w: frozenset(v) for w, v in valuation.items()}
         self.preference = frozenset(preference)
-        self._succ = None
-        self._pred = None
+        self._index = None
+
+    def _tables(self):
+        """The evaluator's tables, built on first use: world -> bit,
+        atom -> mask, modality -> successor rows, the preferred worlds of
+        each world, and minimal subsets by mask."""
+        if self._index is None:
+            index = {w: j for j, w in enumerate(self.worlds)}
+            self._val = _valuation_masks(self.valuation, index)
+            self._succ = {i: _rows(pairs, index)
+                          for i, pairs in self.relations.items()}
+            self._pred = _rows(((b, a) for a, b in self.preference), index)
+            self._mins = {}
+            self._index = index
+        return self._index
 
     def successors(self, modality, world):
-        if self._succ is None:
-            succ = {}
-            for i, pairs in self.relations.items():
-                by_world = {}
-                for a, b in pairs:
-                    by_world.setdefault(a, set()).add(b)
-                succ[i] = by_world
-            self._succ = succ
-        return self._succ.get(modality, {}).get(world, frozenset())
-
-    def predecessors_in_preference(self, world):
-        if self._pred is None:
-            pred = {}
-            for a, b in self.preference:
-                pred.setdefault(b, set()).add(a)
-            self._pred = pred
-        return self._pred.get(world, frozenset())
+        j = self._tables().get(world)
+        rows = self._succ.get(modality)
+        if j is None or rows is None:
+            return set()
+        return _names(self, rows[j])
 
     def to_json_dict(self):
         return {
@@ -90,66 +112,89 @@ class PreferentialModel:
                 f"valuation={{...}}, preference={sorted(self.preference)})")
 
 
-def transitive_closure(pairs, elements):
-    closed = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(closed):
-            for c, d in list(closed):
-                if b == c and (a, d) not in closed:
-                    closed.add((a, d))
-                    changed = True
-    return closed
+def transitive_closure(pairs):
+    """The transitive closure of a relation, by Warshall's algorithm over
+    one bitset row per element."""
+    pairs = list(pairs)
+    index = {}
+    for pair in pairs:
+        for x in pair:
+            index.setdefault(x, len(index))
+    rows = _rows(pairs, index)
+    for k, row_k in enumerate(rows):
+        bit = 1 << k
+        for i, row in enumerate(rows):
+            if row & bit:
+                rows[i] = row | row_k
+    elements = list(index)
+    return {(a, b) for a, row in zip(elements, rows)
+            for j, b in enumerate(elements) if row >> j & 1}
+
+
+def _name_list(value, what):
+    if not isinstance(value, (list, tuple)) or \
+            not all(isinstance(x, str) for x in value):
+        raise ModelError(f"{what} must be a list of names, not {value!r}")
+    return value
+
+
+def _world_pairs(value, world_set, what):
+    if not isinstance(value, (list, tuple)):
+        raise ModelError(f"{what} must be a list of pairs, not {value!r}")
+    pairs = set()
+    for pair in value:
+        if len(_name_list(pair, f"{what} entry")) != 2:
+            raise ModelError(f"{what} entry {pair!r} is not a pair")
+        if not set(pair) <= world_set:
+            raise ModelError(f"{what} mentions unknown world in {pair!r}")
+        pairs.add(tuple(pair))
+    return pairs
+
+
+def _mapping(raw, key):
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ModelError(f"{key!r} must be an object, not {value!r}")
+    return value
 
 
 def validate_model(raw: dict) -> PreferentialModel:
     """Build a model from file-format data, closing the preference order.
 
-    Rejects dangling world references, preference cycles, and an empty
-    world set.  A preference entry ["a", "b"] asserts a is preferred to b.
+    Rejects malformed entries, dangling world references, preference
+    cycles, and an empty world set.  A preference entry ["a", "b"]
+    asserts a is preferred to b.
     """
     try:
-        worlds = list(raw["worlds"])
+        worlds = raw["worlds"]
     except (KeyError, TypeError):
         raise ModelError("model data must contain a 'worlds' list")
+    worlds = _name_list(worlds, "'worlds'")
     if not worlds:
         raise ModelError("the set of worlds must be non-empty")
     if len(set(worlds)) != len(worlds):
         raise ModelError("duplicate world ids")
     world_set = set(worlds)
-    atoms = set(raw.get("atoms", []))
-    modalities = set(raw.get("modalities", []))
+    atoms = set(_name_list(raw.get("atoms", []), "'atoms'"))
+    modalities = set(_name_list(raw.get("modalities", []), "'modalities'"))
 
     valuation = {}
-    for w, names in raw.get("valuation", {}).items():
+    for w, names in _mapping(raw, "valuation").items():
         if w not in world_set:
             raise ModelError(f"valuation mentions unknown world {w!r}")
-        for p in names:
+        for p in _name_list(names, f"valuation of {w!r}"):
             if p not in atoms:
                 raise ModelError(f"valuation mentions undeclared atom {p!r}")
         valuation[w] = frozenset(names)
 
     relations = {}
-    for i, pairs in raw.get("relations", {}).items():
+    for i, pairs in _mapping(raw, "relations").items():
         if i not in modalities:
             raise ModelError(f"relation for undeclared modality {i!r}")
-        rel = set()
-        for pair in pairs:
-            a, b = pair
-            if a not in world_set or b not in world_set:
-                raise ModelError(
-                    f"relation {i!r} mentions unknown world in {pair!r}")
-            rel.add((a, b))
-        relations[i] = rel
+        relations[i] = _world_pairs(pairs, world_set, f"relation {i!r}")
 
-    pref = set()
-    for pair in raw.get("preference", []):
-        a, b = pair
-        if a not in world_set or b not in world_set:
-            raise ModelError(f"preference mentions unknown world in {pair!r}")
-        pref.add((a, b))
-    pref = transitive_closure(pref, worlds)
+    pref = transitive_closure(
+        _world_pairs(raw.get("preference", []), world_set, "preference"))
     for w in worlds:
         if (w, w) in pref:
             raise ModelError(f"preference has a cycle through {w!r}")
@@ -172,80 +217,112 @@ def save_model(model: PreferentialModel, path):
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def min_preferred(model: PreferentialModel, worlds) -> set:
-    """The preference-minimal elements of a set of worlds."""
-    ws = set(worlds)
-    return {w for w in ws
-            if not (model.predecessors_in_preference(w) & ws)}
+def _names(model, mask):
+    return {w for j, w in enumerate(model.worlds) if mask >> j & 1}
 
 
-def extension(model: PreferentialModel, f: Formula) -> set:
-    """The set of worlds satisfying f, by structural recursion."""
-    return _extension(model, f, {})
-
-
-def _extension(model, f, memo):
-    cached = memo.get(f)
-    if cached is not None:
-        return cached
-    if isinstance(f, Atom):
-        out = {w for w in model.worlds
-               if f.name in model.valuation.get(w, ())}
-    elif isinstance(f, Bottom):
-        out = set()
-    elif isinstance(f, Top):
-        out = set(model.worlds)
-    elif isinstance(f, Not):
-        out = set(model.worlds) - _extension(model, f.operand, memo)
-    elif isinstance(f, And):
-        out = (_extension(model, f.left, memo)
-               & _extension(model, f.right, memo))
-    elif isinstance(f, Or):
-        out = (_extension(model, f.left, memo)
-               | _extension(model, f.right, memo))
-    elif isinstance(f, Implies):
-        out = ((set(model.worlds) - _extension(model, f.left, memo))
-               | _extension(model, f.right, memo))
-    elif isinstance(f, Iff):
-        left = _extension(model, f.left, memo)
-        right = _extension(model, f.right, memo)
-        out = {w for w in model.worlds if (w in left) == (w in right)}
-    elif isinstance(f, Box):
-        sub = _extension(model, f.operand, memo)
-        out = {w for w in model.worlds
-               if model.successors(f.modality, w) <= sub}
-    elif isinstance(f, Dia):
-        sub = _extension(model, f.operand, memo)
-        out = {w for w in model.worlds
-               if model.successors(f.modality, w) & sub}
-    elif isinstance(f, DefBox):
-        sub = _extension(model, f.operand, memo)
-        out = {w for w in model.worlds
-               if min_preferred(model, model.successors(f.modality, w)) <= sub}
-    elif isinstance(f, DefDia):
-        sub = _extension(model, f.operand, memo)
-        out = {w for w in model.worlds
-               if min_preferred(model, model.successors(f.modality, w)) & sub}
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    memo[f] = out
+def _minimal(model, mask):
+    """The preference-minimal worlds among those of mask, as a mask."""
+    out = model._mins.get(mask)
+    if out is None:
+        pred = model._pred
+        out = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if not pred[low.bit_length() - 1] & mask:
+                out |= low
+            rest ^= low
+        model._mins[mask] = out
     return out
 
 
+def _mask(model: PreferentialModel, f: Formula) -> int:
+    """The worlds satisfying f, one bit per world.
+
+    A binary or modal subformula object that occurs more than once in f
+    is evaluated once, so formulas with shared subtrees cost about their
+    number of distinct nodes.
+    """
+    if model._index is None:
+        model._tables()
+    full = (1 << len(model.worlds)) - 1
+    val, succ = model._val, model._succ
+    memo = {}
+
+    def ev(g):
+        t = type(g)
+        if t is Atom:
+            return val.get(g.name, 0)
+        if t is Not:
+            return full ^ ev(g.operand)
+        if t is Bottom:
+            return 0
+        if t is Top:
+            return full
+        out = memo.get(id(g))
+        if out is not None:
+            return out
+        if t is And:
+            out = ev(g.left) & ev(g.right)
+        elif t is Or:
+            out = ev(g.left) | ev(g.right)
+        elif t is Implies:
+            out = (full ^ ev(g.left)) | ev(g.right)
+        elif t is Iff:
+            out = full ^ ev(g.left) ^ ev(g.right)
+        elif t is Box or t is Dia or t is DefBox or t is DefDia:
+            sub = ev(g.operand)
+            rows = succ.get(g.modality, ())
+            if t is DefBox or t is DefDia:
+                rows = [_minimal(model, row) for row in rows]
+            if t is Box or t is DefBox:
+                out = full
+                for j, row in enumerate(rows):
+                    if row & ~sub:
+                        out ^= 1 << j
+            else:
+                out = 0
+                for j, row in enumerate(rows):
+                    if row & sub:
+                        out |= 1 << j
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        memo[id(g)] = out
+        return out
+
+    return ev(f)
+
+
+def min_preferred(model: PreferentialModel, worlds) -> set:
+    """The preference-minimal elements of a set of worlds."""
+    index = model._tables()
+    mask = 0
+    for w in worlds:
+        mask |= 1 << index[w]
+    return _names(model, _minimal(model, mask))
+
+
+def extension(model: PreferentialModel, f: Formula) -> set:
+    """The set of worlds satisfying f."""
+    return _names(model, _mask(model, f))
+
+
 def holds_at(model: PreferentialModel, world, f: Formula) -> bool:
-    if world not in model.worlds:
+    j = model._tables().get(world)
+    if j is None:
         raise ModelError(f"unknown world {world!r}")
-    return world in extension(model, f)
+    return bool(_mask(model, f) >> j & 1)
 
 
 def globally_true(model: PreferentialModel, f: Formula) -> bool:
-    return len(extension(model, f)) == len(model.worlds)
+    return _mask(model, f) == (1 << len(model.worlds)) - 1
 
 
 def holds_conditional(model: PreferentialModel, c) -> bool:
     """KLM reading: every minimal antecedent-world satisfies the consequent."""
-    ante = extension(model, c.antecedent)
-    return min_preferred(model, ante) <= extension(model, c.consequent)
+    ante = _minimal(model, _mask(model, c.antecedent))
+    return not ante & ~_mask(model, c.consequent)
 
 
 def satisfies_kb_globally(model: PreferentialModel, kb) -> bool:
@@ -279,132 +356,54 @@ def strict_partial_orders(worlds):
 
 
 def enumerate_models(sig: ModelSignature, hard_cap: int = 3) -> Iterator[PreferentialModel]:
-    """Yield every model over the signature, in a deterministic order."""
+    """Yield every model over the signature, in a deterministic order.
+
+    Models share their parts and evaluator tables with one another, so
+    a yielded model must not be changed.
+    """
     if sig.max_worlds < 1:
         raise ModelError("the set of worlds must be non-empty")
     if sig.max_worlds > hard_cap:
         raise ModelError(
             f"max_worlds {sig.max_worlds} exceeds the hard cap {hard_cap}")
-    atoms = tuple(sig.atoms)
+    atoms = frozenset(sig.atoms)
     modalities = tuple(sig.modalities)
+    modalities_fs = frozenset(modalities)
     for k in range(1, sig.max_worlds + 1):
         worlds = tuple(f"w{j + 1}" for j in range(k))
+        index = {w: j for j, w in enumerate(worlds)}
         pairs = [(a, b) for a in worlds for b in worlds]
         world_valuations = [frozenset(s)
-                            for r in range(len(atoms) + 1)
-                            for s in itertools.combinations(atoms, r)]
-        relation_choices = [frozenset(s)
+                            for r in range(len(sig.atoms) + 1)
+                            for s in itertools.combinations(sig.atoms, r)]
+        relation_choices = [(frozenset(s), _rows(s, index))
                             for r in range(len(pairs) + 1)
                             for s in itertools.combinations(pairs, r)]
-        orders = strict_partial_orders(worlds)
-        atoms_fs = frozenset(atoms)
-        modalities_fs = frozenset(modalities)
+        orders = [(order, _rows(((b, a) for a, b in order), index), {})
+                  for order in strict_partial_orders(worlds)]
         for val in itertools.product(world_valuations, repeat=k):
             valuation = dict(zip(worlds, val))
+            val_masks = _valuation_masks(valuation, index)
             for rels in itertools.product(relation_choices,
                                           repeat=len(modalities)):
-                relations = dict(zip(modalities, rels))
-                for order in orders:
+                relations = {i: rel for i, (rel, _) in zip(modalities, rels)}
+                succ = {i: rows for i, (_, rows) in zip(modalities, rels)}
+                for order, pred, mins in orders:
                     # bypass __init__: all parts are already immutable and
                     # shared structure is never mutated
                     m = PreferentialModel.__new__(PreferentialModel)
                     m.worlds = worlds
-                    m.atoms = atoms_fs
+                    m.atoms = atoms
                     m.modalities = modalities_fs
                     m.relations = relations
                     m.valuation = valuation
                     m.preference = order
-                    m._succ = None
-                    m._pred = None
+                    m._index = index
+                    m._val = val_masks
+                    m._succ = succ
+                    m._pred = pred
+                    m._mins = mins
                     yield m
-
-
-def _successor_masks(model):
-    worlds = model.worlds
-    idx = {w: j for j, w in enumerate(worlds)}
-    succ = {}
-    for i, pairs in model.relations.items():
-        masks = [0] * len(worlds)
-        for a, b in pairs:
-            masks[idx[a]] |= 1 << idx[b]
-        succ[i] = masks
-    return succ
-
-
-def _atom_masks(model):
-    return {p: sum(1 << j for j, w in enumerate(model.worlds)
-                   if p in model.valuation.get(w, ()))
-            for p in model.atoms}
-
-
-def _satisfying_mask(model, f, succ=None, atom_masks=None):
-    """Bitmask of world indices satisfying f (fast path for enumeration)."""
-    worlds = model.worlds
-    k = len(worlds)
-    idx = {w: j for j, w in enumerate(worlds)}
-    full = (1 << k) - 1
-    if succ is None:
-        succ = _successor_masks(model)
-    pred = [0] * k
-    for a, b in model.preference:
-        pred[idx[b]] |= 1 << idx[a]
-
-    min_cache = {}
-
-    def min_mask(mask):
-        out = min_cache.get(mask)
-        if out is None:
-            out = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                if not (pred[low.bit_length() - 1] & mask):
-                    out |= low
-                rest ^= low
-            min_cache[mask] = out
-        return out
-
-    zeros = [0] * k
-
-    def ev(g):
-        if isinstance(g, Atom):
-            if atom_masks is not None:
-                return atom_masks.get(g.name, 0)
-            mask = 0
-            for j, w in enumerate(worlds):
-                if g.name in model.valuation.get(w, ()):
-                    mask |= 1 << j
-            return mask
-        if isinstance(g, Bottom):
-            return 0
-        if isinstance(g, Top):
-            return full
-        if isinstance(g, Not):
-            return full ^ ev(g.operand)
-        if isinstance(g, And):
-            return ev(g.left) & ev(g.right)
-        if isinstance(g, Or):
-            return ev(g.left) | ev(g.right)
-        if isinstance(g, Implies):
-            return (full ^ ev(g.left)) | ev(g.right)
-        if isinstance(g, Iff):
-            return full ^ ev(g.left) ^ ev(g.right)
-        sub = ev(g.operand)
-        masks = succ.get(g.modality, zeros)
-        if isinstance(g, Box):
-            return sum(1 << j for j in range(k)
-                       if not (masks[j] & ~sub))
-        if isinstance(g, Dia):
-            return sum(1 << j for j in range(k) if masks[j] & sub)
-        if isinstance(g, DefBox):
-            return sum(1 << j for j in range(k)
-                       if not (min_mask(masks[j]) & ~sub))
-        if isinstance(g, DefDia):
-            return sum(1 << j for j in range(k)
-                       if min_mask(masks[j]) & sub)
-        raise TypeError(f"not a formula: {g!r}")
-
-    return ev(f)
 
 
 def brute_force_satisfiable(f: Formula, sig: ModelSignature,
@@ -414,21 +413,10 @@ def brute_force_satisfiable(f: Formula, sig: ModelSignature,
 
     None means only that no model exists within the enumeration bounds.
     """
-    # the enumerator shares relation/valuation dicts across consecutive
-    # preference orders; cache their derived masks by identity
-    last_rel = last_succ = last_val = last_atoms = None
     for model in enumerate_models(sig, hard_cap=hard_cap):
-        if model.relations is not last_rel:
-            last_rel = model.relations
-            last_succ = _successor_masks(model)
-        if model.valuation is not last_val:
-            last_val = model.valuation
-            last_atoms = _atom_masks(model)
-        mask = _satisfying_mask(model, f, succ=last_succ,
-                                atom_masks=last_atoms)
+        mask = _mask(model, f)
         if mask:
-            world = model.worlds[(mask & -mask).bit_length() - 1]
-            return model, world
+            return model, model.worlds[(mask & -mask).bit_length() - 1]
     return None
 
 

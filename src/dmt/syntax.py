@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 

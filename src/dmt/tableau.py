@@ -15,16 +15,14 @@ saturated branches therefore include formula-free labels as worlds.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from . import semantics
 from .syntax import (
-    And, Atom, Bottom, Box, DefBox, Formula, Not, desugar, render_formula,
-    subformulas,
+    And, Atom, Bottom, Box, DefBox, Formula, Not, children, desugar,
+    render_formula, subformulas,
 )
-from .semantics import PreferentialModel, holds_at, transitive_closure
+from .semantics import PreferentialModel, extension, transitive_closure
 
 DEFAULT_MAX_RULE_APPS = 10_000
 DEFAULT_MAX_LABELS = 1_000
@@ -123,10 +121,6 @@ class Branch:
         if detail:
             line += f" [=> {detail}]"
         self.trace.append(line)
-
-
-def is_closed(branch: Branch) -> bool:
-    return any(isinstance(f, Bottom) for _, f in branch.formulas)
 
 
 def initial_tableau(f: Formula, counter=None) -> list:
@@ -281,13 +275,10 @@ class Open:
     trace: tuple = ()
 
 
-Verdict = object  # Closed | Open
-
-
 def decide(f: Formula,
            max_rule_apps: int = DEFAULT_MAX_RULE_APPS,
            max_labels: int = DEFAULT_MAX_LABELS,
-           check_invariants: bool = False) -> Verdict:
+           check_invariants: bool = False) -> Closed | Open:
     """Saturate a tableau for f; Closed iff f is unsatisfiable.
 
     Branches are explored depth-first, leftmost split child first; the
@@ -378,28 +369,42 @@ def extract_model(branch: Branch) -> PreferentialModel:
     """
     labels = sorted(branch.labels())
     worlds = [world_name(n) for n in labels]
-    atoms = set()
     valuation = {w: set() for w in worlds}
     for n, g in branch.formulas:
-        for sub in subformulas(g):
-            if isinstance(sub, Atom):
-                atoms.add(sub.name)
         if isinstance(g, Atom):
             valuation[world_name(n)].add(g.name)
-    modalities = set(branch.skeleton)
-    for _, g in branch.formulas:
-        for sub in subformulas(g):
-            if isinstance(sub, (Box, DefBox)):
-                modalities.add(sub.modality)
+    # one walk over the distinct formula nodes; formulas on a branch share
+    # their subtrees, so nodes are told apart by identity, not by equality
+    atoms, modalities = set(), set(branch.skeleton)
+    seen, todo = set(), [g for _, g in branch.formulas]
+    while todo:
+        g = todo.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        if isinstance(g, Atom):
+            atoms.add(g.name)
+        elif isinstance(g, (Box, DefBox)):
+            modalities.add(g.modality)
+        todo.extend(children(g))
     relations = {i: {(world_name(a), world_name(b)) for a, b in edges}
                  for i, edges in branch.skeleton.items()}
-    pref = {(world_name(a), world_name(b)) for a, b in branch.preference}
-    pref = transitive_closure(pref, worlds)
+    pref = transitive_closure((world_name(a), world_name(b))
+                              for a, b in branch.preference)
     return PreferentialModel(worlds, atoms, modalities, relations, valuation,
                              pref)
 
 
 def verify_branch_model(branch: Branch, model: PreferentialModel) -> bool:
-    """Check that every labeled formula holds at its world in the model."""
-    return all(holds_at(model, world_name(n), g)
-               for n, g in branch.formulas)
+    """Check that every labeled formula holds at its world in the model.
+
+    Each formula object is evaluated once, for all of its labels.
+    """
+    worlds_of = {}
+    for n, g in branch.formulas:
+        worlds_of.setdefault(id(g), (g, []))[1].append(world_name(n))
+    for g, worlds in worlds_of.values():
+        ext = extension(model, g)
+        if not all(w in ext for w in worlds):
+            return False
+    return True

@@ -52,11 +52,12 @@ def random_order(rng, worlds, density=0.4):
     pairs = {(perm[i], perm[j])
              for i in range(len(perm)) for j in range(i + 1, len(perm))
              if rng.random() < density}
-    return transitive_closure(pairs, worlds)
+    return transitive_closure(pairs)
 
 
-def random_model(rng, max_worlds=4, atoms=("p", "q"), modalities=("a",)):
-    k = rng.randint(1, max_worlds)
+def random_model(rng, max_worlds=4, atoms=("p", "q"), modalities=("a",),
+                 min_worlds=1):
+    k = rng.randint(min_worlds, max_worlds)
     worlds = tuple(f"w{j + 1}" for j in range(k))
     valuation = {w: frozenset(p for p in atoms if rng.random() < 0.5)
                  for w in worlds}

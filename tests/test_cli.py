@@ -107,6 +107,11 @@ class TestOracleSat:
                               "--max-worlds", "2")
         assert out.startswith("UNSAT") and code == 1
 
+    def test_max_worlds_above_hard_cap(self, capsys):
+        code, out, err = invoke(capsys, "oracle-sat", "p & ~p",
+                                "--max-worlds", "4")
+        assert code == 2 and out == "" and "hard cap 3" in err
+
 
 class TestPlumbing:
     def test_formula_from_file(self, capsys, tmp_path):
@@ -124,6 +129,12 @@ class TestPlumbing:
         bad.write_text(json.dumps({"worlds": []}))
         code, _, err = invoke(capsys, "check", "p", "--model", str(bad))
         assert code == 2
+
+    def test_malformed_preference_entry(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"worlds": ["a"], "preference": [1]}))
+        code, out, err = invoke(capsys, "check", "p", "--model", str(bad))
+        assert code == 2 and out == "" and "preference" in err
 
     def test_rule_app_limit_env(self, capsys, monkeypatch):
         monkeypatch.setenv("DMT_MAX_RULE_APPS", "1")

@@ -7,11 +7,11 @@ from dmt.semantics import (
     Conditional, ModelError, ModelSignature, PreferentialModel,
     brute_force_satisfiable, enumerate_models, extension, globally_true,
     holds_at, holds_conditional, min_preferred, satisfies_kb_globally,
-    strict_partial_orders, validate_model,
+    strict_partial_orders, transitive_closure, validate_model,
 )
 from dmt.syntax import (
-    And, Atom, Bottom, Box, DefBox, DefDia, Dia, Not, Top, desugar,
-    is_classical, parse_formula,
+    And, Atom, Bottom, Box, DefBox, DefDia, Dia, Iff, Implies, Not, Or, Top,
+    desugar, is_classical, parse_formula,
 )
 from conftest import FIXTURES, random_formula, random_model, random_order
 
@@ -47,6 +47,19 @@ class TestValidateModel:
         with pytest.raises(ModelError):
             validate_model({"worlds": ["a"], "atoms": [], "modalities": [],
                             "valuation": {"a": ["p"]}})
+
+    @pytest.mark.parametrize("bad", [
+        {"preference": [1]},
+        {"preference": [["a", "b", "a"]]},
+        {"relations": {"i": [["a"]]}},
+        {"relations": {"i": [[["a"], "b"]]}},
+        {"valuation": {"a": "p"}},
+        {"valuation": ["a"]},
+    ])
+    def test_malformed_entries_rejected(self, bad):
+        raw = {"worlds": ["a", "b"], "atoms": ["p"], "modalities": ["i"]}
+        with pytest.raises(ModelError):
+            validate_model({**raw, **bad})
 
     def test_round_trip_through_json_dict(self, figure3):
         again = validate_model(json.loads(json.dumps(figure3.to_json_dict())))
@@ -246,3 +259,69 @@ class TestSemanticProperties:
     def test_desugar_preserves_semantics(self):
         for rng, m, f in self._sample(37):
             assert extension(m, f) == extension(m, desugar(f))
+
+
+def _defined_truth(m, w, f, memo):
+    """Truth of f at world w, read off the definitions one world at a time."""
+    key = (id(f), w)
+    if key not in memo:
+        memo[key] = _defined_truth_uncached(m, w, f, memo)
+    return memo[key]
+
+
+def _defined_truth_uncached(m, w, f, memo):
+    def at(v, g):
+        return _defined_truth(m, v, g, memo)
+
+    if isinstance(f, Atom):
+        return f.name in m.valuation.get(w, ())
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Bottom):
+        return False
+    if isinstance(f, Not):
+        return not at(w, f.operand)
+    if isinstance(f, And):
+        return at(w, f.left) and at(w, f.right)
+    if isinstance(f, Or):
+        return at(w, f.left) or at(w, f.right)
+    if isinstance(f, Implies):
+        return not at(w, f.left) or at(w, f.right)
+    if isinstance(f, Iff):
+        return at(w, f.left) == at(w, f.right)
+    succ = {b for a, b in m.relations.get(f.modality, ()) if a == w}
+    if isinstance(f, (DefBox, DefDia)):
+        succ = {v for v in succ
+                if not any((u, v) in m.preference for u in succ)}
+    if isinstance(f, (Box, DefBox)):
+        return all(at(v, f.operand) for v in succ)
+    return any(at(v, f.operand) for v in succ)
+
+
+def _naive_closure(pairs):
+    closed = set(pairs)
+    while True:
+        new = {(a, d) for a, b in closed for c, d in closed if b == c}
+        if new <= closed:
+            return closed
+        closed |= new
+
+
+def test_evaluator_matches_definitions():
+    rng = random.Random(41)
+    for max_worlds, min_worlds, n, size in ((4, 1, 300, 10),
+                                            (64, 16, 12, 10)):
+        for _ in range(n):
+            m = random_model(rng, max_worlds, modalities=("a", "b"),
+                             min_worlds=min_worlds)
+            f = random_formula(rng, rng.randint(1, size),
+                               modalities=("a", "b"))
+            memo = {}
+            want = {w for w in m.worlds if _defined_truth(m, w, f, memo)}
+            assert extension(m, f) == want
+            assert globally_true(m, f) == (want == set(m.worlds))
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        pairs = {(rng.randrange(n), rng.randrange(n))
+                 for _ in range(rng.randint(0, 2 * n))}
+        assert transitive_closure(pairs) == _naive_closure(pairs)

@@ -11,7 +11,7 @@ from dmt.syntax import (
 )
 from dmt.tableau import (
     Closed, Open, ResourceLimitError, decide, extract_model, initial_tableau,
-    is_closed, step, verify_branch_model, world_name,
+    step, verify_branch_model, world_name,
 )
 from conftest import random_formula
 
@@ -90,11 +90,11 @@ class TestIsClosed:
     def test_complement_on_different_labels_is_open(self):
         counter_branch = initial_tableau(p)[0]
         counter_branch.add_formula(1, Not(p))
-        assert not is_closed(counter_branch)
+        assert not counter_branch.closed
 
     def test_negated_bottom_does_not_close(self):
         (b,) = initial_tableau(Top())
-        assert not is_closed(b)
+        assert not b.closed
 
 
 class TestDecide:
