@@ -233,6 +233,9 @@ def run(argv) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main():

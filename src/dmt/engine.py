@@ -15,9 +15,11 @@ from typing import Optional
 
 from . import tableau
 from .semantics import (
-    Conditional, ModelSignature, PreferentialModel, enumerate_models,
-    extension, holds_at, satisfies_kb_globally,
+    Conditional, InvariantViolation, ModelSignature, PreferentialModel,
+    first_model, holds_at, satisfies_kb_globally,
 )
+# not used here; bench/tracing.py patches them on this module
+from .semantics import enumerate_models, extension  # noqa: F401
 from .syntax import (
     And, Bottom, Box, Formula, Not, atoms_of, desugar, modal_depth,
     modalities_of, parse_formula,
@@ -125,15 +127,7 @@ def _brute_force_refutation(kb, f, atoms, modalities):
         return None
     sig = ModelSignature(tuple(sorted(atoms)), tuple(sorted(modalities)),
                          max_worlds)
-    for model in enumerate_models(sig):
-        if not satisfies_kb_globally(model, kb.formulas):
-            continue
-        falsified = set(model.worlds) - extension(model, f)
-        if falsified:
-            for w in model.worlds:
-                if w in falsified:
-                    return model, w
-    return None
+    return first_model(sig, Not(f), kb.formulas)
 
 
 def global_entails(kb: KnowledgeBase, f: Formula,
@@ -167,14 +161,23 @@ def global_entails(kb: KnowledgeBase, f: Formula,
         model = verdict.model
         witness = tableau.world_name(0)
         if satisfies_kb_globally(model, kb.formulas):
-            assert not holds_at(model, witness, f)
+            if holds_at(model, witness, f):
+                raise InvariantViolation(
+                    f"the query holds at the witness {witness} of the "
+                    f"tableau countermodel")
             return NotEntailed(model, witness)
         if not tried_brute_force:
             tried_brute_force = True
             found = _brute_force_refutation(kb, f, atoms, modalities)
             if found is not None:
                 model, witness = found
-                assert satisfies_kb_globally(model, kb.formulas)
-                assert not holds_at(model, witness, f)
+                if not satisfies_kb_globally(model, kb.formulas):
+                    raise InvariantViolation(
+                        "the knowledge base fails in the brute-force "
+                        "countermodel")
+                if holds_at(model, witness, f):
+                    raise InvariantViolation(
+                        f"the query holds at the witness {witness} of the "
+                        f"brute-force countermodel")
                 return NotEntailed(model, witness)
     return Unknown(max_depth)

@@ -5,17 +5,27 @@ partial order on worlds ("preference"), lower meaning more normal.  The
 defeasible box holds at w when its operand holds at every most-preferred
 accessible world; the defeasible diamond when it holds at at least one.
 
-There is one evaluator, `_mask`, which gives the worlds satisfying a
-formula as a bitset: bit j stands for `model.worlds[j]`.  It reads
-tables that a model builds on first use (the bit of each world, a mask
-per atom, a successor row per world and modality, the preferred worlds
-of each world and a cache of minimal subsets).  `enumerate_models`
-builds these tables once per valuation, relation choice and order and
-shares them among the models it yields.  The public functions below
-read `_mask`.
+Formulas are evaluated over bitsets, in one of two layouts.
 
-Also provides a bounded brute-force model enumerator used as an
-independent oracle by the test suite and the entailment engine.
+* For one explicit model, `_mask` gives the worlds satisfying a formula
+  as one int: bit j stands for `model.worlds[j]`.  It reads tables that
+  a model builds on first use (the bit of each world, a mask per atom, a
+  successor row per world and modality, the preferred worlds of each
+  world and a cache of minimal subsets).  `enumerate_models` builds
+  these tables once per valuation, relation choice and order and shares
+  them among the models it yields.  The public evaluation functions
+  below read `_mask`.
+* The brute-force oracle, `first_model`, asks one question of many
+  small models: every model of at most 3 worlds over a signature.  Its
+  bits run across models instead (`bitparallel.Models`): for each world
+  slot j a formula gets one int whose bit m stands for the m-th model
+  of a block of models in `enumerate_models` order.
+
+An explicit model may have many worlds but is one model; the oracle's
+models have at most 3 worlds but there are up to hundreds of thousands
+of them.  Each layout puts its bits where the count is large.
+`first_model` re-checks every model it returns with `_mask`, so the
+oracle's answers are certified by the other evaluator.
 """
 
 from __future__ import annotations
@@ -30,10 +40,16 @@ from .syntax import (
     Or, Top,
 )
 from .syntax import Conditional  # noqa: F401  (re-exported)
+from .bitparallel import Models
 
 
 class ModelError(ValueError):
     """Raised for structurally invalid model data."""
+
+
+class InvariantViolation(AssertionError):
+    """A verdict or certificate failed an independent re-check.  Raised
+    explicitly, so that the checks also run under ``python -O``."""
 
 
 def _rows(pairs, index):
@@ -291,7 +307,12 @@ def _mask(model: PreferentialModel, f: Formula) -> int:
         memo[id(g)] = out
         return out
 
-    return ev(f)
+    try:
+        return ev(f)
+    finally:
+        # ev refers to itself: without this, every call would leave a
+        # reference cycle, with the model and memo, to the collector
+        del ev
 
 
 def min_preferred(model: PreferentialModel, worlds) -> set:
@@ -355,33 +376,52 @@ def strict_partial_orders(worlds):
     return out
 
 
-def enumerate_models(sig: ModelSignature, hard_cap: int = 3) -> Iterator[PreferentialModel]:
-    """Yield every model over the signature, in a deterministic order.
-
-    Models share their parts and evaluator tables with one another, so
-    a yielded model must not be changed.
-    """
+def _check_bounds(sig, hard_cap):
     if sig.max_worlds < 1:
         raise ModelError("the set of worlds must be non-empty")
     if sig.max_worlds > hard_cap:
         raise ModelError(
             f"max_worlds {sig.max_worlds} exceeds the hard cap {hard_cap}")
+
+
+def _parts(sig, k):
+    """What the k-world models over sig are made of, each list in
+    enumeration order: the worlds, the valuations of one world (tuples
+    of atoms), the relations of one modality (tuples of pairs) and the
+    preference orders."""
+    worlds = tuple(f"w{j + 1}" for j in range(k))
+    pairs = [(a, b) for a in worlds for b in worlds]
+    valuations = [s for r in range(len(sig.atoms) + 1)
+                  for s in itertools.combinations(sig.atoms, r)]
+    relations = [s for r in range(len(pairs) + 1)
+                 for s in itertools.combinations(pairs, r)]
+    return worlds, valuations, relations, strict_partial_orders(worlds)
+
+
+def enumerate_models(sig: ModelSignature, hard_cap: int = 3) -> Iterator[PreferentialModel]:
+    """Yield every model over the signature, in a deterministic order.
+
+    The k-world models come before the (k+1)-world ones.  Within a
+    world count the order is that of a number whose digits are, most
+    significant first, the valuation of each world, the relation of
+    each modality and the preference order (see `_parts`).
+
+    Models share their parts and evaluator tables with one another, so
+    a yielded model must not be changed.
+    """
+    _check_bounds(sig, hard_cap)
     atoms = frozenset(sig.atoms)
     modalities = tuple(sig.modalities)
     modalities_fs = frozenset(modalities)
     for k in range(1, sig.max_worlds + 1):
-        worlds = tuple(f"w{j + 1}" for j in range(k))
+        worlds, valuations, relations, orders = _parts(sig, k)
+        valuations = [frozenset(val) for val in valuations]
         index = {w: j for j, w in enumerate(worlds)}
-        pairs = [(a, b) for a in worlds for b in worlds]
-        world_valuations = [frozenset(s)
-                            for r in range(len(sig.atoms) + 1)
-                            for s in itertools.combinations(sig.atoms, r)]
-        relation_choices = [(frozenset(s), _rows(s, index))
-                            for r in range(len(pairs) + 1)
-                            for s in itertools.combinations(pairs, r)]
+        relation_choices = [(frozenset(rel), _rows(rel, index))
+                            for rel in relations]
         orders = [(order, _rows(((b, a) for a, b in order), index), {})
-                  for order in strict_partial_orders(worlds)]
-        for val in itertools.product(world_valuations, repeat=k):
+                  for order in orders]
+        for val in itertools.product(valuations, repeat=k):
             valuation = dict(zip(worlds, val))
             val_masks = _valuation_masks(valuation, index)
             for rels in itertools.product(relation_choices,
@@ -406,6 +446,41 @@ def enumerate_models(sig: ModelSignature, hard_cap: int = 3) -> Iterator[Prefere
                     yield m
 
 
+def first_model(sig: ModelSignature, goal: Formula, assumptions=(),
+                hard_cap: int = 3) -> Optional[tuple]:
+    """The first model, in `enumerate_models` order, in which every
+    assumption holds at every world and goal holds at some world, with
+    the first such world; None when there is none within the bounds.
+
+    World counts are tried in increasing order, each with all its
+    models at once (`bitparallel.Models`).  The answer is the one a
+    loop over `enumerate_models` would give, and is re-checked with the
+    per-model evaluator before it is returned.
+    """
+    _check_bounds(sig, hard_cap)
+    assumptions = tuple(assumptions)
+    modalities = sig.modalities
+    for k in range(1, sig.max_worlds + 1):
+        worlds, valuations, relations, orders = _parts(sig, k)
+        found = Models(worlds, sig.atoms, modalities, valuations, relations,
+                       orders).first(goal, assumptions)
+        if found is None:
+            continue
+        digits, slot = found
+        model = PreferentialModel(
+            worlds, sig.atoms, modalities,
+            dict(zip(modalities, [relations[c] for c in digits[k:-1]])),
+            dict(zip(worlds, [valuations[v] for v in digits[:k]])),
+            orders[digits[-1]])
+        full = (1 << k) - 1
+        if not _mask(model, goal) >> slot & 1 or \
+                any(_mask(model, g) != full for g in assumptions):
+            raise InvariantViolation(
+                f"oracle model fails the per-model check: {model!r}")
+        return model, worlds[slot]
+    return None
+
+
 def brute_force_satisfiable(f: Formula, sig: ModelSignature,
                             hard_cap: int = 3
                             ) -> Optional[tuple]:
@@ -413,11 +488,7 @@ def brute_force_satisfiable(f: Formula, sig: ModelSignature,
 
     None means only that no model exists within the enumeration bounds.
     """
-    for model in enumerate_models(sig, hard_cap=hard_cap):
-        mask = _mask(model, f)
-        if mask:
-            return model, model.worlds[(mask & -mask).bit_length() - 1]
-    return None
+    return first_model(sig, f, hard_cap=hard_cap)
 
 
 def signature_for(formulas, max_worlds: int = 3) -> ModelSignature:

@@ -22,7 +22,9 @@ from .syntax import (
     And, Atom, Bottom, Box, DefBox, Formula, Not, children, desugar,
     render_formula, subformulas,
 )
-from .semantics import PreferentialModel, extension, transitive_closure
+from .semantics import (
+    InvariantViolation, PreferentialModel, extension, transitive_closure,
+)
 
 DEFAULT_MAX_RULE_APPS = 10_000
 DEFAULT_MAX_LABELS = 1_000
@@ -30,10 +32,6 @@ DEFAULT_MAX_LABELS = 1_000
 
 class ResourceLimitError(RuntimeError):
     """Raised when a resource limit is hit; never a verdict."""
-
-
-class InvariantViolation(AssertionError):
-    """A calculus invariant failed (only checked when requested)."""
 
 
 class _LabelCounter:

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from dmt.semantics import PreferentialModel, load_model, transitive_closure
+from dmt.semantics import (
+    PreferentialModel, _mask, enumerate_models, load_model, transitive_closure,
+)
 from dmt.syntax import (
     And, Atom, Bottom, Box, DefBox, DefDia, Dia, Iff, Implies, Not, Or, Top,
 )
@@ -66,3 +68,26 @@ def random_model(rng, max_worlds=4, atoms=("p", "q"), modalities=("a",),
                  for i in modalities}
     return PreferentialModel(worlds, atoms, modalities, relations, valuation,
                              random_order(rng, worlds))
+
+
+# ---------------------------------------------------------------------------
+# The per-model reference for the bit-parallel oracle
+
+def first_by_loop(sig, goal, assumptions=()):
+    """The reference for the oracle: the first model of
+    `enumerate_models` in which every assumption holds at every world
+    and goal at some world, with the first such world."""
+    for m in enumerate_models(sig):
+        full = (1 << len(m.worlds)) - 1
+        if all(_mask(m, g) == full for g in assumptions):
+            mask = _mask(m, goal)
+            if mask:
+                return m, m.worlds[(mask & -mask).bit_length() - 1]
+    return None
+
+
+def same_answer(found, expected):
+    if expected is None or found is None:
+        return found is expected
+    return found[1] == expected[1] and \
+        found[0].to_json_dict() == expected[0].to_json_dict()

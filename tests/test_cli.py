@@ -136,6 +136,22 @@ class TestPlumbing:
         code, out, err = invoke(capsys, "check", "p", "--model", str(bad))
         assert code == 2 and out == "" and "preference" in err
 
+    @pytest.mark.parametrize("command, text", [
+        ("sat", "~" * 5000 + "p"),
+        ("oracle-sat", "~" * 5000 + "p"),
+        # parsed by a loop, so the depth reaches the evaluators
+        ("oracle-sat", " & ".join(["p"] * 5000)),
+    ], ids=["sat-not", "oracle-sat-not", "oracle-sat-and"])
+    def test_deep_nesting(self, capsys, tmp_path, command, text):
+        source = tmp_path / "deep.txt"
+        source.write_text(text)
+        argv = [command, f"@{source}"]
+        if command == "oracle-sat":
+            argv += ["--max-worlds", "1"]
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: formula nested too deeply\n"
+
     def test_rule_app_limit_env(self, capsys, monkeypatch):
         monkeypatch.setenv("DMT_MAX_RULE_APPS", "1")
         code, _, err = invoke(capsys, "valid",

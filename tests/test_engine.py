@@ -1,20 +1,26 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+from dmt import engine
 from dmt.engine import (
     Entailed, KnowledgeBase, NotEntailed, Unknown, countermodel,
     global_entails, is_valid, kb_to_conditionals, load_kb,
 )
 from dmt.semantics import (
-    ModelSignature, enumerate_models, extension, holds_at, holds_conditional,
-    min_preferred, satisfies_kb_globally,
+    InvariantViolation, ModelSignature, PreferentialModel, enumerate_models,
+    extension, holds_at, holds_conditional, min_preferred,
+    satisfies_kb_globally,
 )
 from dmt.syntax import (
-    Atom, Bottom, Box, DefBox, Not, Or, modal_depth, parse_formula,
+    Atom, Bottom, Box, DefBox, Not, Or, atoms_of, modal_depth,
+    modalities_of, parse_formula,
 )
-from conftest import FIXTURES, random_formula
+from conftest import FIXTURES, first_by_loop, random_formula, same_answer
 
 p, q = Atom("p"), Atom("q")
 
@@ -171,6 +177,71 @@ class TestEntailmentProperties:
             for m in itertools.islice(enumerate_models(self.SIG), 0, None, 7):
                 assert satisfies_kb_globally(m, kb.formulas) == \
                     all(holds_conditional(m, c) for c in conds)
+
+
+def refutation_by_loop(kb, f):
+    """The fallback's search as a loop over `enumerate_models`, with the
+    fallback's world bound."""
+    atoms, modalities = atoms_of(f), modalities_of(f)
+    for g in kb.formulas:
+        atoms |= atoms_of(g)
+        modalities |= modalities_of(g)
+    max_worlds = max((k for k in (1, 2, 3) if engine._model_space_size(
+        len(atoms), len(modalities), k) <= engine._BRUTE_FORCE_BUDGET),
+        default=0)
+    if not max_worlds:
+        return None, atoms, modalities
+    sig = ModelSignature(tuple(sorted(atoms)), tuple(sorted(modalities)),
+                         max_worlds)
+    return first_by_loop(sig, Not(f), kb.formulas), atoms, modalities
+
+
+class TestBruteForceRefutation:
+    def test_matches_per_model_loop(self):
+        cases = list(small_kb_corpus(62, 40))
+        power = load_kb(FIXTURES / "powerplant.kb")
+        cases += [(power, parse_formula(q))
+                  for q in ("h", "~c -> [f]c", "p -> [[f]]~h")]
+        hits = 0
+        for kb, query in cases:
+            expected, atoms, modalities = refutation_by_loop(kb, query)
+            found = engine._brute_force_refutation(kb, query, atoms,
+                                                   modalities)
+            assert same_answer(found, expected), (kb, query)
+            hits += expected is not None
+        assert 5 < hits < len(cases) - 5
+
+    @pytest.mark.parametrize("valuation", [{}, {"w1": ["q"]}],
+                             ids=["kb-fails", "query-holds"])
+    def test_bad_countermodel_rejected(self, monkeypatch, valuation):
+        # KB <a>true: the tableau's model has a world without successor,
+        # so global_entails asks the fallback
+        bad = PreferentialModel(["w1"], ["q"], ["a"],
+                                {"a": {("w1", "w1")} if valuation else set()},
+                                valuation, [])
+        monkeypatch.setattr(engine, "_brute_force_refutation",
+                            lambda *args: (bad, "w1"))
+        kb = KnowledgeBase((parse_formula("<a>true"),))
+        with pytest.raises(InvariantViolation):
+            global_entails(kb, parse_formula("q"))
+
+    def test_checks_survive_optimisation(self):
+        script = (
+            "from dmt import engine\n"
+            "from dmt.semantics import InvariantViolation, PreferentialModel\n"
+            "from dmt.syntax import parse_formula\n"
+            "bad = PreferentialModel(['w1'], [], ['a'], {}, {}, [])\n"
+            "engine._brute_force_refutation = lambda *args: (bad, 'w1')\n"
+            "kb = engine.KnowledgeBase((parse_formula('<a>true'),))\n"
+            "try:\n"
+            "    engine.global_entails(kb, parse_formula('q'))\n"
+            "except InvariantViolation:\n"
+            "    print('rejected')\n")
+        src = str(FIXTURES.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.stdout == "rejected\n", run.stderr
 
 
 class TestDerivedRules:

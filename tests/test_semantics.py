@@ -3,17 +3,22 @@ import random
 
 import pytest
 
+from dmt import bitparallel
 from dmt.semantics import (
-    Conditional, ModelError, ModelSignature, PreferentialModel,
-    brute_force_satisfiable, enumerate_models, extension, globally_true,
-    holds_at, holds_conditional, min_preferred, satisfies_kb_globally,
-    strict_partial_orders, transitive_closure, validate_model,
+    Conditional, InvariantViolation, ModelError, ModelSignature,
+    PreferentialModel, brute_force_satisfiable, enumerate_models,
+    extension, first_model, globally_true, holds_at, holds_conditional,
+    min_preferred, satisfies_kb_globally, strict_partial_orders,
+    transitive_closure, validate_model,
 )
 from dmt.syntax import (
     And, Atom, Bottom, Box, DefBox, DefDia, Dia, Iff, Implies, Not, Or, Top,
     desugar, is_classical, parse_formula,
 )
-from conftest import FIXTURES, random_formula, random_model, random_order
+from conftest import (
+    FIXTURES, first_by_loop, random_formula, random_model, random_order,
+    same_answer,
+)
 
 p, h = Atom("p"), Atom("h")
 
@@ -204,6 +209,91 @@ class TestBruteForce:
         found = brute_force_satisfiable(p, ModelSignature(("p",), (), 1))
         model, world = found
         assert len(model.worlds) == 1 and holds_at(model, world, p)
+
+
+class TestBitParallelOracle:
+    # (atoms, modalities, max_worlds) small enough for the reference loop
+    SIGNATURES = [
+        (("p",), (), 3), (("p", "q"), (), 3), (("p",), ("a",), 2),
+        (("p", "q"), ("a",), 2), (("q",), ("a", "b"), 2),
+        (("p", "q"), ("a", "b"), 1), ((), ("b",), 2),
+    ]
+
+    @pytest.mark.parametrize("block", [bitparallel._BLOCK_MODELS, 16])
+    def test_matches_per_model_loop(self, monkeypatch, block):
+        # with 16 models to a block, most signatures are split and the
+        # more significant digits are iterated
+        monkeypatch.setattr(bitparallel, "_BLOCK_MODELS", block)
+        rng = random.Random(71)
+        nones = 0
+        for _ in range(150):
+            atoms, modalities, k = rng.choice(self.SIGNATURES)
+            sig = ModelSignature(atoms, modalities, k)
+            # atoms and modalities outside the signature too
+            make = lambda size: random_formula(
+                rng, size, atoms=("p", "q", "r"), modalities=("a", "b", "c"))
+            goal = make(rng.randint(1, 9))
+            kb = [make(rng.randint(1, 5)) for _ in range(rng.randint(0, 2))]
+            expected = first_by_loop(sig, goal, kb)
+            nones += expected is None
+            assert same_answer(first_model(sig, goal, kb), expected), \
+                (sig, goal, kb)
+            if not kb:
+                assert same_answer(brute_force_satisfiable(goal, sig),
+                                   expected)
+        assert 20 < nones < 130
+
+    def test_defeasible_against_classical(self):
+        # [[i]]x & ~[i]x and <i>x & ~<<i>>x need a successor that is not
+        # preference-minimal, so their first models turn on the
+        # minimal-successor table
+        rng = random.Random(72)
+        worlds = []
+        for n in range(150):
+            sig = ModelSignature(("p", "q")[:1 + n % 2], ("a",), 2)
+            x = random_formula(rng, rng.randint(1, 5), modalities=("a", "b"))
+            rest = random_formula(rng, rng.randint(1, 4),
+                                  modalities=("a", "b"))
+            goal = rng.choice([And(DefBox("a", x), Not(Box("a", x))),
+                               And(Dia("a", x), Not(DefDia("a", x)))])
+            if n % 3 == 0:
+                goal = And(goal, rest)
+            expected = first_by_loop(sig, goal)
+            assert same_answer(brute_force_satisfiable(goal, sig),
+                               expected), (sig, goal)
+            worlds.append(expected and len(expected[0].worlds))
+        assert worlds.count(2) > 40
+
+    @pytest.mark.parametrize("text", [
+        "<<a>>(<a>true <-> [a][a][[a]]<a>false)",
+        "~[a]([a](false & <a>true) <-> [a][a]false)",
+    ])
+    def test_three_worlds_one_modality(self, text):
+        # formulas whose first model has three worlds
+        sig = ModelSignature(("p",), ("a",), 3)
+        f = parse_formula(text)
+        found = brute_force_satisfiable(f, sig)
+        assert len(found[0].worlds) == 3
+        assert same_answer(found, first_by_loop(sig, f))
+
+    def test_first_model_past_the_first_block(self):
+        # 2 atoms, 1 modality, 3 worlds: 622,592 models, in blocks of
+        # 38,912 along the valuation of w3, the relation and the order,
+        # while the valuations of w1 and w2 are iterated.  The formula
+        # needs three worlds with different valuations, so w2 is not
+        # empty and the first model lies past the first block.
+        sig = ModelSignature(("p", "q"), ("a",), 3)
+        f = parse_formula("~p & ~q & <<a>>(p & ~q) & <<a>>(~p & q)")
+        found = brute_force_satisfiable(f, sig)
+        assert found is not None and found[0].valuation["w2"]
+        assert same_answer(found, first_by_loop(sig, f))
+
+    def test_certificate_rechecked(self, monkeypatch):
+        # an answer the per-model evaluator refutes is never returned
+        monkeypatch.setattr(bitparallel.Models, "first",
+                            lambda self, goal, assumptions: ([0, 0, 0], 0))
+        with pytest.raises(InvariantViolation):
+            brute_force_satisfiable(p, ModelSignature(("p",), ("a",), 1))
 
 
 class TestSemanticProperties:
