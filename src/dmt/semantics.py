@@ -42,6 +42,9 @@ from .syntax import (
 from .syntax import Conditional  # noqa: F401  (re-exported)
 from .bitparallel import Models
 
+# the most worlds `enumerate_models` and the oracle look at
+HARD_CAP = 3
+
 
 class ModelError(ValueError):
     """Raised for structurally invalid model data."""
@@ -320,6 +323,8 @@ def min_preferred(model: PreferentialModel, worlds) -> set:
     index = model._tables()
     mask = 0
     for w in worlds:
+        if w not in index:
+            raise ModelError(f"unknown world {w!r}")
         mask |= 1 << index[w]
     return _names(model, _minimal(model, mask))
 
@@ -376,12 +381,12 @@ def strict_partial_orders(worlds):
     return out
 
 
-def _check_bounds(sig, hard_cap):
+def _check_bounds(sig):
     if sig.max_worlds < 1:
         raise ModelError("the set of worlds must be non-empty")
-    if sig.max_worlds > hard_cap:
+    if sig.max_worlds > HARD_CAP:
         raise ModelError(
-            f"max_worlds {sig.max_worlds} exceeds the hard cap {hard_cap}")
+            f"max_worlds {sig.max_worlds} exceeds the hard cap {HARD_CAP}")
 
 
 def _parts(sig, k):
@@ -398,7 +403,7 @@ def _parts(sig, k):
     return worlds, valuations, relations, strict_partial_orders(worlds)
 
 
-def enumerate_models(sig: ModelSignature, hard_cap: int = 3) -> Iterator[PreferentialModel]:
+def enumerate_models(sig: ModelSignature) -> Iterator[PreferentialModel]:
     """Yield every model over the signature, in a deterministic order.
 
     The k-world models come before the (k+1)-world ones.  Within a
@@ -409,7 +414,7 @@ def enumerate_models(sig: ModelSignature, hard_cap: int = 3) -> Iterator[Prefere
     Models share their parts and evaluator tables with one another, so
     a yielded model must not be changed.
     """
-    _check_bounds(sig, hard_cap)
+    _check_bounds(sig)
     atoms = frozenset(sig.atoms)
     modalities = tuple(sig.modalities)
     modalities_fs = frozenset(modalities)
@@ -446,8 +451,8 @@ def enumerate_models(sig: ModelSignature, hard_cap: int = 3) -> Iterator[Prefere
                     yield m
 
 
-def first_model(sig: ModelSignature, goal: Formula, assumptions=(),
-                hard_cap: int = 3) -> Optional[tuple]:
+def first_model(sig: ModelSignature, goal: Formula,
+                assumptions=()) -> Optional[tuple]:
     """The first model, in `enumerate_models` order, in which every
     assumption holds at every world and goal holds at some world, with
     the first such world; None when there is none within the bounds.
@@ -457,7 +462,7 @@ def first_model(sig: ModelSignature, goal: Formula, assumptions=(),
     loop over `enumerate_models` would give, and is re-checked with the
     per-model evaluator before it is returned.
     """
-    _check_bounds(sig, hard_cap)
+    _check_bounds(sig)
     assumptions = tuple(assumptions)
     modalities = sig.modalities
     for k in range(1, sig.max_worlds + 1):
@@ -481,14 +486,13 @@ def first_model(sig: ModelSignature, goal: Formula, assumptions=(),
     return None
 
 
-def brute_force_satisfiable(f: Formula, sig: ModelSignature,
-                            hard_cap: int = 3
-                            ) -> Optional[tuple]:
+def brute_force_satisfiable(f: Formula,
+                            sig: ModelSignature) -> Optional[tuple]:
     """First (model, world) satisfying f within the bounds, else None.
 
     None means only that no model exists within the enumeration bounds.
     """
-    return first_model(sig, f, hard_cap=hard_cap)
+    return first_model(sig, f)
 
 
 def signature_for(formulas, max_worlds: int = 3) -> ModelSignature:

@@ -11,6 +11,18 @@ The negated-box rule splits: either the fresh successor is itself
 minimal, or a second, formula-free fresh successor is created strictly
 below it and asserted minimal.  Countermodels extracted from open
 saturated branches therefore include formula-free labels as worlds.
+
+Each branch keeps one first-in first-out agenda of pending instances
+per rule, in rule order: (bot), (neg), (and), (box), (defbox), (defdia),
+(or), (dia).  `step` applies the oldest instance of the first non-empty
+agenda.  An instance is queued once, when the last thing it needs
+arrives: a formula queues its own rule; a [i] or [[i]] formula, one
+instance per (minimal) successor its label has; new edges or a
+minimality assertion, one per [i] or [[i]] formula at their source; a
+complement pair, (bot).  Only (defdia) and (dia) add edges, and only
+when the (box) and (defbox) agendas are empty, so each agenda stays
+sorted by formula insertion index, then successor index: the order in
+which a rescan of the branch formulas would find the same instances.
 """
 
 from __future__ import annotations
@@ -28,6 +40,10 @@ from .semantics import (
 
 DEFAULT_MAX_RULE_APPS = 10_000
 DEFAULT_MAX_LABELS = 1_000
+
+# the agendas in rule order, and the rule a negation triggers by its operand
+BOT, NEG, AND, BOX, DEFBOX, DEFDIA, OR, DIA = range(8)
+_NEGATED_RULE = {Not: NEG, And: OR, DefBox: DEFDIA, Box: DIA}
 
 
 class ResourceLimitError(RuntimeError):
@@ -58,10 +74,9 @@ class Branch:
         self.skeleton = {}            # modality -> list of (n, n') pairs
         self.preference = set()       # (a, b) meaning a is preferred to b
         self.min_asserts = {}         # (modality, n) -> list of labels
-        self.applied = set()
+        self.agendas = [[] for _ in _RULES]  # pending, per rule
         self.trace = []
         self.closed = False
-        self.clash_queue = []         # labels with a detected complement pair
         self.counter = counter
 
     def clone(self):
@@ -71,10 +86,9 @@ class Branch:
         b.skeleton = {i: list(v) for i, v in self.skeleton.items()}
         b.preference = set(self.preference)
         b.min_asserts = {k: list(v) for k, v in self.min_asserts.items()}
-        b.applied = set(self.applied)
+        b.agendas = [list(a) for a in self.agendas]
         b.trace = list(self.trace)
         b.closed = self.closed
-        b.clash_queue = list(self.clash_queue)
         return b
 
     # -- state updates ------------------------------------------------------
@@ -88,28 +102,46 @@ class Branch:
         if isinstance(formula, Bottom):
             self.closed = True
             return
-        complement = (formula.operand if isinstance(formula, Not)
-                      else Not(formula))
+        if isinstance(formula, Not):
+            complement = formula.operand
+            rule = _NEGATED_RULE.get(type(complement))
+            if rule is not None:
+                self.agendas[rule].append((label, formula))
+        else:
+            complement = Not(formula)
+            if isinstance(formula, And):
+                self.agendas[AND].append((label, formula))
+            elif isinstance(formula, Box):
+                self.agendas[BOX].extend(
+                    (label, formula, dst) for src, dst
+                    in self.skeleton.get(formula.modality, ()) if src == label)
+            elif isinstance(formula, DefBox):
+                self.agendas[DEFBOX].extend(
+                    (label, formula, dst) for dst
+                    in self.min_asserts.get((formula.modality, label), ()))
         if (label, complement) in self.formula_set:
-            self.clash_queue.append((label, formula, complement))
+            self.agendas[BOT].append((label, formula, complement))
 
-    def add_edge(self, modality, src, dst):
-        self.skeleton.setdefault(modality, []).append((src, dst))
+    def add_edge(self, modality, src, *dsts):
+        self.skeleton.setdefault(modality, []).extend((src, d) for d in dsts)
+        self._queue_boxes(Box, modality, src, dsts)
 
     def assert_minimal(self, modality, src, label):
         self.min_asserts.setdefault((modality, src), []).append(label)
+        self._queue_boxes(DefBox, modality, src, (label,))
+
+    def _queue_boxes(self, kind, modality, src, dsts):
+        """Queue (box) or (defbox) per `kind` formula at src, per dst."""
+        agenda = self.agendas[BOX if kind is Box else DEFBOX]
+        for n, f in self.formulas:
+            if n == src and type(f) is kind and f.modality == modality:
+                agenda.extend((n, f, d) for d in dsts)
 
     def labels(self):
-        out = {0}
-        for n, _ in self.formulas:
-            out.add(n)
-        for edges in self.skeleton.values():
-            for a, b in edges:
-                out.add(a)
-                out.add(b)
-        for a, b in self.preference:
-            out.add(a)
-            out.add(b)
+        out = {0, *(n for n, _ in self.formulas)}
+        for pairs in (*self.skeleton.values(), self.preference):
+            for a, b in pairs:
+                out.update((a, b))
         for labs in self.min_asserts.values():
             out.update(labs)
         return out
@@ -132,129 +164,93 @@ def initial_tableau(f: Formula, counter=None) -> list:
 # ---------------------------------------------------------------------------
 # Rule application
 
+def _bot(branch, label, f, complement):
+    branch.add_formula(label, Bottom())
+    branch.log("(bot)", label, f,
+               f"{label} :: false (with {render_formula(complement)})")
+
+
+def _neg(branch, label, f):
+    branch.add_formula(label, f.operand.operand)
+    branch.log("(neg)", label, f)
+
+
+def _and(branch, label, f):
+    branch.add_formula(label, f.left)
+    branch.add_formula(label, f.right)
+    branch.log("(and)", label, f)
+
+
+def _box(branch, label, f, dst):
+    """(box) and (defbox): the operand holds at the queued successor."""
+    branch.add_formula(dst, f.operand)
+    branch.log("(box)" if isinstance(f, Box) else "(defbox)", label, f,
+               f"{dst} :: {render_formula(f.operand)}")
+
+
+def _defdia(branch, label, f):
+    inner = f.operand
+    fresh = branch.counter.fresh()
+    branch.add_edge(inner.modality, label, fresh)
+    branch.assert_minimal(inner.modality, label, fresh)
+    branch.add_formula(fresh, Not(inner.operand))
+    branch.log("(defdia)", label, f,
+               f"{fresh} :: {render_formula(Not(inner.operand))}, "
+               f"edge {label}-{inner.modality}->{fresh}, {fresh} minimal")
+
+
+def _or(branch, label, f):
+    right = branch.clone()
+    branch.add_formula(label, Not(f.operand.left))
+    branch.log("(or:left)", label, f)
+    right.add_formula(label, Not(f.operand.right))
+    right.log("(or:right)", label, f)
+    return [branch, right]
+
+
+def _dia(branch, label, f):
+    inner = f.operand
+    negated = Not(inner.operand)
+    right = branch.clone()
+    # case 1: the fresh successor is itself minimal
+    n1 = branch.counter.fresh()
+    branch.add_edge(inner.modality, label, n1)
+    branch.assert_minimal(inner.modality, label, n1)
+    branch.add_formula(n1, negated)
+    branch.log("(dia:min)", label, f,
+               f"{n1} :: {render_formula(negated)}, "
+               f"edge {label}-{inner.modality}->{n1}, {n1} minimal")
+    # case 2: it is not minimal, so a formula-free minimal successor
+    # sits strictly below it
+    n2 = right.counter.fresh()
+    n3 = right.counter.fresh()
+    right.add_edge(inner.modality, label, n2, n3)
+    right.preference.add((n3, n2))
+    right.assert_minimal(inner.modality, label, n3)
+    right.add_formula(n2, negated)
+    right.log("(dia:nonmin)", label, f,
+              f"{n2} :: {render_formula(negated)}, "
+              f"edges {label}-{inner.modality}->{n2},{n3}, "
+              f"{n3} preferred to {n2}, {n3} minimal")
+    return [branch, right]
+
+
+# one function per agenda, in rule order; a rule returns the two sides
+# of a split, or None when it changed the branch in place
+_RULES = (_bot, _neg, _and, _box, _box, _defdia, _or, _dia)
+
+
 def step(branch: Branch) -> Optional[list]:
     """Apply one pending rule instance; None when saturated.
 
     Non-splitting rules mutate the branch in place and return [branch];
-    splitting rules return two independent clones.  Instances are chosen
-    deterministically, non-splitting rules first, so every applicable
-    rule is eventually applied.
+    splitting rules return two independent branches.  The instance is
+    the oldest of the first non-empty agenda, so non-splitting rules go
+    first and every queued instance is eventually applied.
     """
-    # (bot): a label carries both a formula and its negation
-    while branch.clash_queue:
-        label, f, complement = branch.clash_queue.pop(0)
-        if (label, Bottom()) in branch.formula_set:
-            continue
-        branch.add_formula(label, Bottom())
-        branch.log("(bot)", label, f,
-                   f"{label} :: false (with {render_formula(complement)})")
-        return [branch]
-
-    for label, f in branch.formulas:
-        if isinstance(f, Not) and isinstance(f.operand, Not):
-            key = ("neg", label, f)
-            if key not in branch.applied:
-                branch.applied.add(key)
-                branch.add_formula(label, f.operand.operand)
-                branch.log("(neg)", label, f)
-                return [branch]
-
-    for label, f in branch.formulas:
-        if isinstance(f, And):
-            key = ("and", label, f)
-            if key not in branch.applied:
-                branch.applied.add(key)
-                branch.add_formula(label, f.left)
-                branch.add_formula(label, f.right)
-                branch.log("(and)", label, f)
-                return [branch]
-
-    for label, f in branch.formulas:
-        if isinstance(f, Box):
-            for src, dst in branch.skeleton.get(f.modality, ()):
-                if src != label:
-                    continue
-                key = ("box", label, f, dst)
-                if key not in branch.applied:
-                    branch.applied.add(key)
-                    branch.add_formula(dst, f.operand)
-                    branch.log("(box)", label, f,
-                               f"{dst} :: {render_formula(f.operand)}")
-                    return [branch]
-
-    for label, f in branch.formulas:
-        if isinstance(f, DefBox):
-            for dst in branch.min_asserts.get((f.modality, label), ()):
-                key = ("defbox", label, f, dst)
-                if key not in branch.applied:
-                    branch.applied.add(key)
-                    branch.add_formula(dst, f.operand)
-                    branch.log("(defbox)", label, f,
-                               f"{dst} :: {render_formula(f.operand)}")
-                    return [branch]
-
-    for label, f in branch.formulas:
-        if isinstance(f, Not) and isinstance(f.operand, DefBox):
-            key = ("defdia", label, f)
-            if key not in branch.applied:
-                branch.applied.add(key)
-                inner = f.operand
-                fresh = branch.counter.fresh()
-                branch.add_edge(inner.modality, label, fresh)
-                branch.assert_minimal(inner.modality, label, fresh)
-                branch.add_formula(fresh, Not(inner.operand))
-                branch.log("(defdia)", label, f,
-                           f"{fresh} :: {render_formula(Not(inner.operand))}, "
-                           f"edge {label}-{inner.modality}->{fresh}, "
-                           f"{fresh} minimal")
-                return [branch]
-
-    for label, f in branch.formulas:
-        if isinstance(f, Not) and isinstance(f.operand, And):
-            key = ("or", label, f)
-            if key not in branch.applied:
-                branch.applied.add(key)
-                inner = f.operand
-                left = branch
-                right = branch.clone()
-                left.add_formula(label, Not(inner.left))
-                left.log("(or:left)", label, f)
-                right.add_formula(label, Not(inner.right))
-                right.log("(or:right)", label, f)
-                return [left, right]
-
-    for label, f in branch.formulas:
-        if isinstance(f, Not) and isinstance(f.operand, Box):
-            key = ("dia", label, f)
-            if key not in branch.applied:
-                branch.applied.add(key)
-                inner = f.operand
-                negated = Not(inner.operand)
-                left = branch
-                right = branch.clone()
-                # case 1: the fresh successor is itself minimal
-                n1 = left.counter.fresh()
-                left.add_edge(inner.modality, label, n1)
-                left.assert_minimal(inner.modality, label, n1)
-                left.add_formula(n1, negated)
-                left.log("(dia:min)", label, f,
-                         f"{n1} :: {render_formula(negated)}, "
-                         f"edge {label}-{inner.modality}->{n1}, {n1} minimal")
-                # case 2: it is not minimal, so a formula-free minimal
-                # successor sits strictly below it
-                n2 = right.counter.fresh()
-                n3 = right.counter.fresh()
-                right.add_edge(inner.modality, label, n2)
-                right.add_edge(inner.modality, label, n3)
-                right.preference.add((n3, n2))
-                right.assert_minimal(inner.modality, label, n3)
-                right.add_formula(n2, negated)
-                right.log("(dia:nonmin)", label, f,
-                          f"{n2} :: {render_formula(negated)}, "
-                          f"edges {label}-{inner.modality}->{n2},{n3}, "
-                          f"{n3} preferred to {n2}, {n3} minimal")
-                return [left, right]
-
+    for rule, agenda in zip(_RULES, branch.agendas):
+        if agenda:
+            return rule(branch, *agenda.pop(0)) or [branch]
     return None
 
 
@@ -284,9 +280,8 @@ def decide(f: Formula,
     Exceeding a resource limit raises ResourceLimitError.
     """
     counter = _LabelCounter(max_labels)
-    root = desugar(f)
     if check_invariants:
-        allowed = subformulas(root)
+        allowed = subformulas(desugar(f))
         allowed = allowed | {Not(g) for g in allowed} | {Bottom()}
     apps = 0
     stack = initial_tableau(f, counter)
@@ -314,9 +309,8 @@ def decide(f: Formula,
             if check_invariants:
                 for b in result:
                     _check_step_invariants(b, allowed)
-            if len(result) == 2:
-                stack.append(result[1])
-            branch = result[0]
+            branch, *split = result
+            stack.extend(split)
     return Closed(tuple(closed_traces))
 
 

@@ -1,11 +1,15 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dmt.cli import run
 from dmt.semantics import load_model, holds_at
-from dmt.syntax import parse_formula
+from dmt.syntax import parse_formula, render_formula
 from conftest import FIXTURES
+from test_syntax import formulas
 
 FIG3 = str(FIXTURES / "figure3.json")
 KB = str(FIXTURES / "powerplant.kb")
@@ -163,3 +167,22 @@ class TestPlumbing:
         first = invoke(capsys, *args)
         second = invoke(capsys, *args)
         assert first == second
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract on arbitrary input
+
+COMMANDS = [("sat",), ("valid",), ("oracle-sat", "--max-worlds", "2"),
+            ("check", "--model", FIG3)]
+TOKENS = ["p", "q", "a", "true", "false", "~", "&", "|", "->", "<->", "|~",
+          "[a]", "[[b]]", "<a>", "<<b>>", "[", "]", "<", ">", "(", ")", " "]
+texts = st.one_of(formulas.map(render_formula),
+                  st.lists(st.sampled_from(TOKENS), max_size=12).map("".join))
+
+
+@given(st.sampled_from(COMMANDS), texts)
+@settings(max_examples=200, deadline=None)
+def test_exit_code_contract(command, text):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = run([command[0], text, *command[1:]])
+    assert code in (0, 1, 2, 3)

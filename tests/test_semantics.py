@@ -80,6 +80,10 @@ class TestMinPreferred:
     def test_empty(self, figure3):
         assert min_preferred(figure3, set()) == set()
 
+    def test_unknown_world_rejected(self, figure3):
+        with pytest.raises(ModelError, match="nosuch"):
+            min_preferred(figure3, {"w3", "nosuch"})
+
     def test_incomparable_worlds_all_returned(self):
         m = validate_model({"worlds": ["a", "b"], "atoms": [],
                             "modalities": []})

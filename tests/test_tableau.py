@@ -134,6 +134,105 @@ class TestDecide:
             decide(parse_formula("~[a]p & ~[a]q & ~[a]~p"), max_labels=2)
 
 
+class TestRuleOrder:
+    """Exact traces: rule instances are applied in the fixed rule order,
+    oldest formula first, then oldest successor first."""
+
+    def test_box_before_its_edge(self):
+        assert decide(parse_formula("[a]q & ~[a]p")).trace == (
+            "(and) @ 0 :: [a]q & ~[a]p",
+            "(dia:min) @ 0 :: ~[a]p [=> 1 :: ~p, edge 0-a->1, 1 minimal]",
+            "(box) @ 0 :: [a]q [=> 1 :: q]",
+            "branch open (saturated)",
+        )
+
+    def test_box_after_its_edge(self):
+        verdict = decide(parse_formula("~[[a]]p & (false | [a]q)"))
+        assert verdict.trace == (
+            "(and) @ 0 :: ~[[a]]p & ~(~false & ~[a]q)",
+            "(defdia) @ 0 :: ~[[a]]p [=> 1 :: ~p, edge 0-a->1, 1 minimal]",
+            "(or:right) @ 0 :: ~(~false & ~[a]q)",
+            "(neg) @ 0 :: ~~[a]q",
+            "(box) @ 0 :: [a]q [=> 1 :: q]",
+            "branch open (saturated)",
+        )
+
+    def test_boxes_over_several_successors(self):
+        f = parse_formula("[a]q & [a]r & ~[a]p & ~[a]s & [[a]]t & ~[[a]]u")
+        assert decide(f).trace == (
+            "(and) @ 0 :: [a]q & [a]r & ~[a]p & ~[a]s & [[a]]t & ~[[a]]u",
+            "(and) @ 0 :: [a]q & [a]r & ~[a]p & ~[a]s & [[a]]t",
+            "(and) @ 0 :: [a]q & [a]r & ~[a]p & ~[a]s",
+            "(and) @ 0 :: [a]q & [a]r & ~[a]p",
+            "(and) @ 0 :: [a]q & [a]r",
+            "(defdia) @ 0 :: ~[[a]]u [=> 1 :: ~u, edge 0-a->1, 1 minimal]",
+            "(box) @ 0 :: [a]q [=> 1 :: q]",
+            "(box) @ 0 :: [a]r [=> 1 :: r]",
+            "(defbox) @ 0 :: [[a]]t [=> 1 :: t]",
+            "(dia:min) @ 0 :: ~[a]s [=> 2 :: ~s, edge 0-a->2, 2 minimal]",
+            "(box) @ 0 :: [a]q [=> 2 :: q]",
+            "(box) @ 0 :: [a]r [=> 2 :: r]",
+            "(defbox) @ 0 :: [[a]]t [=> 2 :: t]",
+            "(dia:min) @ 0 :: ~[a]p [=> 5 :: ~p, edge 0-a->5, 5 minimal]",
+            "(box) @ 0 :: [a]q [=> 5 :: q]",
+            "(box) @ 0 :: [a]r [=> 5 :: r]",
+            "(defbox) @ 0 :: [[a]]t [=> 5 :: t]",
+            "branch open (saturated)",
+        )
+
+    def test_boxes_over_two_new_edges(self):
+        # (dia:nonmin) adds two edges at once: each box meets both
+        # successors before the next box is applied
+        f = parse_formula("[[a]]p & ~[a]p & [a]q & [a]r")
+        assert decide(f).trace == (
+            "(and) @ 0 :: [[a]]p & ~[a]p & [a]q & [a]r",
+            "(and) @ 0 :: [[a]]p & ~[a]p & [a]q",
+            "(and) @ 0 :: [[a]]p & ~[a]p",
+            "(dia:nonmin) @ 0 :: ~[a]p [=> 2 :: ~p, edges 0-a->2,3, "
+            "3 preferred to 2, 3 minimal]",
+            "(box) @ 0 :: [a]r [=> 2 :: r]",
+            "(box) @ 0 :: [a]r [=> 3 :: r]",
+            "(box) @ 0 :: [a]q [=> 2 :: q]",
+            "(box) @ 0 :: [a]q [=> 3 :: q]",
+            "(defbox) @ 0 :: [[a]]p [=> 3 :: p]",
+            "branch open (saturated)",
+        )
+
+    def test_rule_order_across_kinds(self):
+        # (neg) before (and), (defdia) before (or) before (dia)
+        f = parse_formula("~[a]p & (p | q) & ~[[a]]q & ~~(q & r)")
+        assert decide(f).trace == (
+            "(and) @ 0 :: ~[a]p & ~(~p & ~q) & ~[[a]]q & ~~(q & r)",
+            "(neg) @ 0 :: ~~(q & r)",
+            "(and) @ 0 :: ~[a]p & ~(~p & ~q) & ~[[a]]q",
+            "(and) @ 0 :: q & r",
+            "(and) @ 0 :: ~[a]p & ~(~p & ~q)",
+            "(defdia) @ 0 :: ~[[a]]q [=> 1 :: ~q, edge 0-a->1, 1 minimal]",
+            "(or:left) @ 0 :: ~(~p & ~q)",
+            "(neg) @ 0 :: ~~p",
+            "(dia:min) @ 0 :: ~[a]p [=> 2 :: ~p, edge 0-a->2, 2 minimal]",
+            "branch open (saturated)",
+        )
+
+    def test_closed_traces(self):
+        prefix = ("(and) @ 0 :: ~(~p & ~q) & ~p & ~q",
+                  "(and) @ 0 :: ~(~p & ~q) & ~p")
+        assert decide(parse_formula("(p | q) & ~p & ~q")).traces == (
+            prefix + ("(or:left) @ 0 :: ~(~p & ~q)",
+                      "(bot) @ 0 :: ~~p [=> 0 :: false (with ~p)]",
+                      "branch closed"),
+            prefix + ("(or:right) @ 0 :: ~(~p & ~q)",
+                      "(bot) @ 0 :: ~~q [=> 0 :: false (with ~q)]",
+                      "branch closed"),
+        )
+
+    def test_figure5_rule_application_count(self):
+        f = parse_formula(FIGURE5)
+        with pytest.raises(ResourceLimitError, match="limit 13 exceeded"):
+            decide(f, max_rule_apps=13)
+        assert isinstance(decide(f, max_rule_apps=14), Open)
+
+
 class TestExtractModel:
     def test_single_fact(self):
         (b,) = initial_tableau(p)
