@@ -141,25 +141,21 @@ class Models:
     def ev(self, g):
         """The formula's value: its mask at each world slot."""
         t = type(g)
-        if t is Atom:
-            out = self.memo.get(g.name)
-            if out is None:
-                out = 0
-                if g.name in self.atoms:
-                    for j, shift in enumerate(self.shifts):
-                        out |= self.table(j, g.name) << shift
-                self.memo[g.name] = out
-            return out
         if t is Not:
             return self.every ^ self.ev(g.operand)
         if t is Bottom:
             return 0
         if t is Top:
             return self.every
-        out = self.memo.get(id(g))
+        out = self.memo.get(g)
         if out is not None:
             return out
-        if t is And:
+        if t is Atom:
+            out = 0
+            if g.name in self.atoms:
+                for j, shift in enumerate(self.shifts):
+                    out |= self.table(j, g.name) << shift
+        elif t is And:
             out = self.ev(g.left) & self.ev(g.right)
         elif t is Or:
             out = self.ev(g.left) | self.ev(g.right)
@@ -191,7 +187,7 @@ class Models:
                     out ^= self.every
         else:
             raise TypeError(f"not a formula: {g!r}")
-        self.memo[id(g)] = out
+        self.memo[g] = out
         return out
 
     def first(self, goal, assumptions):
@@ -201,7 +197,7 @@ class Models:
         radices, low, shifts = self.radices, self.low, self.shifts
         for high in itertools.product(*map(range, radices[:low])):
             # the block's high digits, successor rows, and the values of
-            # atoms by name and of other subformulas by identity
+            # the subformulas met so far, keyed by node
             self.high, self.succ, self.memo = high, {}, {}
             ok = self.full
             for g in assumptions:

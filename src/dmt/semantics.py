@@ -11,10 +11,8 @@ Formulas are evaluated over bitsets, in one of two layouts.
   as one int: bit j stands for `model.worlds[j]`.  It reads tables that
   a model builds on first use (the bit of each world, a mask per atom, a
   successor row per world and modality, the preferred worlds of each
-  world and a cache of minimal subsets).  `enumerate_models` builds
-  these tables once per valuation, relation choice and order and shares
-  them among the models it yields.  The public evaluation functions
-  below read `_mask`.
+  world and a cache of minimal subsets).  The public evaluation
+  functions below read `_mask`.
 * The brute-force oracle, `first_model`, asks one question of many
   small models: every model of at most 3 worlds over a signature.  Its
   bits run across models instead (`bitparallel.Models`): for each world
@@ -64,14 +62,6 @@ def _rows(pairs, index):
     return rows
 
 
-def _valuation_masks(valuation, index):
-    masks = {}
-    for w, names in valuation.items():
-        for p in names:
-            masks[p] = masks.get(p, 0) | 1 << index[w]
-    return masks
-
-
 class PreferentialModel:
     """Worlds, per-modality accessibility, valuation, and preference.
 
@@ -99,7 +89,10 @@ class PreferentialModel:
         each world, and minimal subsets by mask."""
         if self._index is None:
             index = {w: j for j, w in enumerate(self.worlds)}
-            self._val = _valuation_masks(self.valuation, index)
+            val = self._val = {}
+            for w, names in self.valuation.items():
+                for p in names:
+                    val[p] = val.get(p, 0) | 1 << index[w]
             self._succ = {i: _rows(pairs, index)
                           for i, pairs in self.relations.items()}
             self._pred = _rows(((b, a) for a, b in self.preference), index)
@@ -259,9 +252,9 @@ def _minimal(model, mask):
 def _mask(model: PreferentialModel, f: Formula) -> int:
     """The worlds satisfying f, one bit per world.
 
-    A binary or modal subformula object that occurs more than once in f
-    is evaluated once, so formulas with shared subtrees cost about their
-    number of distinct nodes.
+    Binary and modal subformulas are memoised on the node, so a formula
+    costs about its number of distinct nodes, however often they are
+    shared.
     """
     if model._index is None:
         model._tables()
@@ -279,7 +272,7 @@ def _mask(model: PreferentialModel, f: Formula) -> int:
             return 0
         if t is Top:
             return full
-        out = memo.get(id(g))
+        out = memo.get(g)
         if out is not None:
             return out
         if t is And:
@@ -307,7 +300,7 @@ def _mask(model: PreferentialModel, f: Formula) -> int:
                         out |= 1 << j
         else:
             raise TypeError(f"not a formula: {g!r}")
-        memo[id(g)] = out
+        memo[g] = out
         return out
 
     try:
@@ -410,45 +403,19 @@ def enumerate_models(sig: ModelSignature) -> Iterator[PreferentialModel]:
     world count the order is that of a number whose digits are, most
     significant first, the valuation of each world, the relation of
     each modality and the preference order (see `_parts`).
-
-    Models share their parts and evaluator tables with one another, so
-    a yielded model must not be changed.
     """
     _check_bounds(sig)
-    atoms = frozenset(sig.atoms)
-    modalities = tuple(sig.modalities)
-    modalities_fs = frozenset(modalities)
     for k in range(1, sig.max_worlds + 1):
         worlds, valuations, relations, orders = _parts(sig, k)
-        valuations = [frozenset(val) for val in valuations]
-        index = {w: j for j, w in enumerate(worlds)}
-        relation_choices = [(frozenset(rel), _rows(rel, index))
-                            for rel in relations]
-        orders = [(order, _rows(((b, a) for a, b in order), index), {})
-                  for order in orders]
         for val in itertools.product(valuations, repeat=k):
             valuation = dict(zip(worlds, val))
-            val_masks = _valuation_masks(valuation, index)
-            for rels in itertools.product(relation_choices,
-                                          repeat=len(modalities)):
-                relations = {i: rel for i, (rel, _) in zip(modalities, rels)}
-                succ = {i: rows for i, (_, rows) in zip(modalities, rels)}
-                for order, pred, mins in orders:
-                    # bypass __init__: all parts are already immutable and
-                    # shared structure is never mutated
-                    m = PreferentialModel.__new__(PreferentialModel)
-                    m.worlds = worlds
-                    m.atoms = atoms
-                    m.modalities = modalities_fs
-                    m.relations = relations
-                    m.valuation = valuation
-                    m.preference = order
-                    m._index = index
-                    m._val = val_masks
-                    m._succ = succ
-                    m._pred = pred
-                    m._mins = mins
-                    yield m
+            for rels in itertools.product(relations,
+                                          repeat=len(sig.modalities)):
+                relation = dict(zip(sig.modalities, rels))
+                for order in orders:
+                    yield PreferentialModel(worlds, sig.atoms,
+                                            sig.modalities, relation,
+                                            valuation, order)
 
 
 def first_model(sig: ModelSignature, goal: Formula,

@@ -11,12 +11,21 @@ The surface language is ASCII:
 
 Precedence: unary operators bind tightest, then &, then |, then ->
 (right-associative), then <->.  "#" starts a comment to end of line.
+
+AST nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
+hash-consing", 2006): calling a node class returns the node already
+built from the same class and fields while it is alive, found through
+one weak table, `_TABLE`.  Two equal formulas are therefore one object:
+equality is identity, hashing is O(1), and other modules key memos and
+groupings on the nodes themselves.  A formula with shared subformulas,
+such as the desugaring of a `<->` chain, is a DAG whose size is its
+number of distinct nodes.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import weakref
 from typing import Union
 
 IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
@@ -25,72 +34,87 @@ IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 # ---------------------------------------------------------------------------
 # AST
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+# (class, *fields) -> the one node with those fields; weak, so that
+# formulas nobody holds are dropped from it
+_TABLE = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True)
-class Bottom:
-    pass
+class _Node:
+    """An interned, immutable AST node; see the module docstring."""
+
+    __slots__ = ("__weakref__",)
+    _fields = ()
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        node = _TABLE.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, args, strict=True):
+                object.__setattr__(node, name, value)
+            _TABLE[key] = node
+        return node
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # copies and unpickled nodes go through the table too
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Top:
-    pass
+class Atom(_Node):
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "Formula"
+class Bottom(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class Top(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Not(_Node):
+    __slots__ = _fields = ("operand",)
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class And(_Node):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Iff:
-    left: "Formula"
-    right: "Formula"
+class Or(_Node):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Box:
-    modality: str
-    operand: "Formula"
+class Implies(_Node):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Dia:
-    modality: str
-    operand: "Formula"
+class Iff(_Node):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class DefBox:
-    modality: str
-    operand: "Formula"
+class Box(_Node):
+    __slots__ = _fields = ("modality", "operand")
 
 
-@dataclass(frozen=True)
-class DefDia:
-    modality: str
-    operand: "Formula"
+class Dia(_Node):
+    __slots__ = _fields = ("modality", "operand")
+
+
+class DefBox(_Node):
+    __slots__ = _fields = ("modality", "operand")
+
+
+class DefDia(_Node):
+    __slots__ = _fields = ("modality", "operand")
 
 
 Formula = Union[
@@ -101,15 +125,12 @@ BINARY = (And, Or, Implies, Iff)
 MODAL = (Box, Dia, DefBox, DefDia)
 
 
-@dataclass(frozen=True)
-class Plain:
-    formula: Formula
+class Plain(_Node):
+    __slots__ = _fields = ("formula",)
 
 
-@dataclass(frozen=True)
-class Conditional:
-    antecedent: Formula
-    consequent: Formula
+class Conditional(_Node):
+    __slots__ = _fields = ("antecedent", "consequent")
 
 
 Statement = Union[Plain, Conditional]
@@ -355,12 +376,6 @@ def render_formula(f: Formula) -> str:
     return _render(f, 0)
 
 
-def render_statement(s: Statement) -> str:
-    if isinstance(s, Conditional):
-        return f"{render_formula(s.antecedent)} |~ {render_formula(s.consequent)}"
-    return render_formula(s.formula)
-
-
 # ---------------------------------------------------------------------------
 # Structural operations
 
@@ -384,8 +399,8 @@ def desugar(f: Formula) -> Formula:
     if isinstance(f, Implies):
         return Not(And(desugar(f.left), Not(desugar(f.right))))
     if isinstance(f, Iff):
-        return And(desugar(Implies(f.left, f.right)),
-                   desugar(Implies(f.right, f.left)))
+        a, b = desugar(f.left), desugar(f.right)
+        return And(Not(And(a, Not(b))), Not(And(b, Not(a))))
     if isinstance(f, Box):
         return Box(f.modality, desugar(f.operand))
     if isinstance(f, Dia):
@@ -424,10 +439,10 @@ def children(f: Formula) -> tuple:
     return ()
 
 
-def subformulas(f: Formula) -> set:
-    """All subtrees of f, including f itself."""
+def subformulas(*roots: Formula) -> set:
+    """All distinct subformulas of the roots, the roots included."""
     out = set()
-    stack = [f]
+    stack = list(roots)
     while stack:
         g = stack.pop()
         if g not in out:

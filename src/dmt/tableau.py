@@ -23,6 +23,11 @@ complement pair, (bot).  Only (defdia) and (dia) add edges, and only
 when the (box) and (defbox) agendas are empty, so each agenda stays
 sorted by formula insertion index, then successor index: the order in
 which a rescan of the branch formulas would find the same instances.
+
+A branch logs each rule application as an event (rule, label, formula,
+detail, formulas), where the {} fields of the detail stand for the
+formulas, and renders nothing; `Open.trace` and `Closed.traces` turn
+the events into text when they are read.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
-    And, Atom, Bottom, Box, DefBox, Formula, Not, children, desugar,
-    render_formula, subformulas,
+    And, Atom, Bottom, Box, DefBox, Formula, Not, desugar, render_formula,
+    subformulas,
 )
 from .semantics import (
     InvariantViolation, PreferentialModel, extension, transitive_closure,
@@ -75,7 +80,7 @@ class Branch:
         self.preference = set()       # (a, b) meaning a is preferred to b
         self.min_asserts = {}         # (modality, n) -> list of labels
         self.agendas = [[] for _ in _RULES]  # pending, per rule
-        self.trace = []
+        self.events = []              # rule applications, see `log`
         self.closed = False
         self.counter = counter
 
@@ -87,7 +92,7 @@ class Branch:
         b.preference = set(self.preference)
         b.min_asserts = {k: list(v) for k, v in self.min_asserts.items()}
         b.agendas = [list(a) for a in self.agendas]
-        b.trace = list(self.trace)
+        b.events = list(self.events)
         b.closed = self.closed
         return b
 
@@ -146,11 +151,19 @@ class Branch:
             out.update(labs)
         return out
 
-    def log(self, rule, label, formula, detail=""):
+    def log(self, rule, label, formula, detail="", formulas=()):
+        self.events.append((rule, label, formula, detail, formulas))
+
+
+def _render_trace(events, end) -> tuple:
+    """The text of a branch's events, one line each, then `end`."""
+    lines = []
+    for rule, label, formula, detail, formulas in events:
         line = f"{rule} @ {label} :: {render_formula(formula)}"
         if detail:
-            line += f" [=> {detail}]"
-        self.trace.append(line)
+            line += f" [=> {detail.format(*map(render_formula, formulas))}]"
+        lines.append(line)
+    return (*lines, end)
 
 
 def initial_tableau(f: Formula, counter=None) -> list:
@@ -166,8 +179,8 @@ def initial_tableau(f: Formula, counter=None) -> list:
 
 def _bot(branch, label, f, complement):
     branch.add_formula(label, Bottom())
-    branch.log("(bot)", label, f,
-               f"{label} :: false (with {render_formula(complement)})")
+    branch.log("(bot)", label, f, f"{label} :: false (with {{}})",
+               (complement,))
 
 
 def _neg(branch, label, f):
@@ -185,7 +198,7 @@ def _box(branch, label, f, dst):
     """(box) and (defbox): the operand holds at the queued successor."""
     branch.add_formula(dst, f.operand)
     branch.log("(box)" if isinstance(f, Box) else "(defbox)", label, f,
-               f"{dst} :: {render_formula(f.operand)}")
+               f"{dst} :: {{}}", (f.operand,))
 
 
 def _defdia(branch, label, f):
@@ -195,8 +208,9 @@ def _defdia(branch, label, f):
     branch.assert_minimal(inner.modality, label, fresh)
     branch.add_formula(fresh, Not(inner.operand))
     branch.log("(defdia)", label, f,
-               f"{fresh} :: {render_formula(Not(inner.operand))}, "
-               f"edge {label}-{inner.modality}->{fresh}, {fresh} minimal")
+               f"{fresh} :: {{}}, "
+               f"edge {label}-{inner.modality}->{fresh}, {fresh} minimal",
+               (Not(inner.operand),))
 
 
 def _or(branch, label, f):
@@ -218,8 +232,9 @@ def _dia(branch, label, f):
     branch.assert_minimal(inner.modality, label, n1)
     branch.add_formula(n1, negated)
     branch.log("(dia:min)", label, f,
-               f"{n1} :: {render_formula(negated)}, "
-               f"edge {label}-{inner.modality}->{n1}, {n1} minimal")
+               f"{n1} :: {{}}, "
+               f"edge {label}-{inner.modality}->{n1}, {n1} minimal",
+               (negated,))
     # case 2: it is not minimal, so a formula-free minimal successor
     # sits strictly below it
     n2 = right.counter.fresh()
@@ -229,9 +244,9 @@ def _dia(branch, label, f):
     right.assert_minimal(inner.modality, label, n3)
     right.add_formula(n2, negated)
     right.log("(dia:nonmin)", label, f,
-              f"{n2} :: {render_formula(negated)}, "
+              f"{n2} :: {{}}, "
               f"edges {label}-{inner.modality}->{n2},{n3}, "
-              f"{n3} preferred to {n2}, {n3} minimal")
+              f"{n3} preferred to {n2}, {n3} minimal", (negated,))
     return [branch, right]
 
 
@@ -259,14 +274,21 @@ def step(branch: Branch) -> Optional[list]:
 
 @dataclass(frozen=True)
 class Closed:
-    traces: tuple
+    events: tuple       # the events of each closed branch
+
+    @property
+    def traces(self):
+        return tuple(_render_trace(e, "branch closed") for e in self.events)
 
 
 @dataclass(frozen=True)
 class Open:
     branch: Branch
     model: PreferentialModel
-    trace: tuple = ()
+
+    @property
+    def trace(self):
+        return _render_trace(self.branch.events, "branch open (saturated)")
 
 
 def decide(f: Formula,
@@ -285,12 +307,12 @@ def decide(f: Formula,
         allowed = allowed | {Not(g) for g in allowed} | {Bottom()}
     apps = 0
     stack = initial_tableau(f, counter)
-    closed_traces = []
+    closed_events = []
     while stack:
         branch = stack.pop()
         while True:
             if branch.closed:
-                closed_traces.append(tuple(branch.trace + ["branch closed"]))
+                closed_events.append(tuple(branch.events))
                 break
             result = step(branch)
             if result is None:
@@ -300,8 +322,7 @@ def decide(f: Formula,
                 if not verify_branch_model(branch, model):
                     raise InvariantViolation(
                         "extracted model fails branch verification")
-                branch.trace.append("branch open (saturated)")
-                return Open(branch, model, tuple(branch.trace))
+                return Open(branch, model)
             apps += 1
             if apps > max_rule_apps:
                 raise ResourceLimitError(
@@ -311,7 +332,7 @@ def decide(f: Formula,
                     _check_step_invariants(b, allowed)
             branch, *split = result
             stack.extend(split)
-    return Closed(tuple(closed_traces))
+    return Closed(tuple(closed_events))
 
 
 def _check_step_invariants(branch, allowed):
@@ -365,20 +386,13 @@ def extract_model(branch: Branch) -> PreferentialModel:
     for n, g in branch.formulas:
         if isinstance(g, Atom):
             valuation[world_name(n)].add(g.name)
-    # one walk over the distinct formula nodes; formulas on a branch share
-    # their subtrees, so nodes are told apart by identity, not by equality
+    # the signature, from the distinct subformulas of the branch
     atoms, modalities = set(), set(branch.skeleton)
-    seen, todo = set(), [g for _, g in branch.formulas]
-    while todo:
-        g = todo.pop()
-        if id(g) in seen:
-            continue
-        seen.add(id(g))
+    for g in subformulas(*(g for _, g in branch.formulas)):
         if isinstance(g, Atom):
             atoms.add(g.name)
         elif isinstance(g, (Box, DefBox)):
             modalities.add(g.modality)
-        todo.extend(children(g))
     relations = {i: {(world_name(a), world_name(b)) for a, b in edges}
                  for i, edges in branch.skeleton.items()}
     pref = transitive_closure((world_name(a), world_name(b))
@@ -390,12 +404,12 @@ def extract_model(branch: Branch) -> PreferentialModel:
 def verify_branch_model(branch: Branch, model: PreferentialModel) -> bool:
     """Check that every labeled formula holds at its world in the model.
 
-    Each formula object is evaluated once, for all of its labels.
+    Each formula is evaluated once, for all of its labels.
     """
     worlds_of = {}
     for n, g in branch.formulas:
-        worlds_of.setdefault(id(g), (g, []))[1].append(world_name(n))
-    for g, worlds in worlds_of.values():
+        worlds_of.setdefault(g, []).append(world_name(n))
+    for g, worlds in worlds_of.items():
         ext = extension(model, g)
         if not all(w in ext for w in worlds):
             return False

@@ -1,13 +1,18 @@
+import copy
+import gc
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dmt import syntax
+from dmt.cli import run
 from dmt.syntax import (
     And, Atom, Bottom, Box, Conditional, DefBox, DefDia, Dia, Iff, Implies,
-    Not, Or, Plain, SyntaxError_, Top, desugar, is_classical, is_core,
-    modal_depth, parse_formula, parse_statement, render_formula, size,
-    subformulas,
+    Not, Or, Plain, SyntaxError_, Top, children, desugar, is_classical,
+    is_core, modal_depth, parse_formula, parse_statement, render_formula,
+    size, subformulas,
 )
 from conftest import random_formula
 
@@ -137,6 +142,50 @@ class TestStructure:
     def test_classical_fragment(self):
         assert is_classical(Box("a", Not(p)))
         assert not is_classical(DefDia("a", p))
+
+
+def iff_chain(n):
+    return " <-> ".join(f"p{i}" for i in range(n))
+
+
+class TestInterning:
+    def test_equal_formulas_are_one_object(self):
+        text = "[[a]](p -> q) & <<b>>~p <-> true | [a]false"
+        assert parse_formula(text) is parse_formula(text)
+        assert Not(Atom("p")) is Not(Atom("p"))
+        assert parse_statement("p |~ q") is Conditional(p, q)
+        assert Box("a", p) is not Dia("a", p)
+        f = parse_formula(text)
+        assert copy.deepcopy(f) is f and pickle.loads(pickle.dumps(f)) is f
+
+    def test_nodes_are_immutable(self):
+        f = And(p, q)
+        with pytest.raises(AttributeError):
+            f.left = q
+        with pytest.raises(AttributeError):
+            del f.right
+        assert f.left is p and f.right is q
+
+    def test_dropped_formulas_leave_the_table(self):
+        name = "only_in_test_dropped_formulas_leave_the_table"
+        f = Not(Atom(name))
+        assert (Atom, name) in syntax._TABLE
+        del f
+        gc.collect()
+        assert (Atom, name) not in syntax._TABLE
+        assert (Not, Atom(name)) not in syntax._TABLE
+
+    def test_desugared_iff_chain_is_linear(self):
+        seen, todo = set(), [desugar(parse_formula(iff_chain(16)))]
+        while todo:
+            node = todo.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                todo.extend(children(node))
+        assert len(seen) <= 10 * 16
+
+    def test_sat_on_long_iff_chain(self):
+        assert run(["sat", iff_chain(40)]) == 0
 
 
 # hypothesis strategy over the full language
