@@ -16,7 +16,7 @@ from typing import Optional
 from . import tableau
 from .semantics import (
     Conditional, InvariantViolation, ModelSignature, PreferentialModel,
-    first_model, holds_at, satisfies_kb_globally,
+    first_model, holds_at, satisfies_kb_globally, strict_partial_orders,
 )
 # not used here; bench/tracing.py patches them on this module
 from .semantics import enumerate_models, extension  # noqa: F401
@@ -30,10 +30,6 @@ from .tableau import Closed, decide
 @dataclass(frozen=True)
 class KnowledgeBase:
     formulas: tuple
-
-    @classmethod
-    def from_formulas(cls, formulas):
-        return cls(tuple(formulas))
 
 
 class KBError(ValueError):
@@ -112,7 +108,7 @@ _BRUTE_FORCE_BUDGET = 500_000
 def _model_space_size(n_atoms, n_modalities, max_worlds):
     total = 0
     for k in range(1, max_worlds + 1):
-        orders = 1 if k == 1 else (3 if k == 2 else 19)
+        orders = len(strict_partial_orders(range(k)))
         total += (2 ** (k * n_atoms)) * (2 ** (k * k)) ** n_modalities * orders
     return total
 
@@ -144,11 +140,8 @@ def global_entails(kb: KnowledgeBase, f: Formula,
     if max_depth < base_depth:
         raise ValueError(
             f"max_depth {max_depth} is below modal_depth(f) = {base_depth}")
-    atoms = atoms_of(f)
-    modalities = modalities_of(f)
-    for g in kb.formulas:
-        atoms |= atoms_of(g)
-        modalities |= modalities_of(g)
+    atoms = atoms_of(f, *kb.formulas)
+    modalities = modalities_of(f, *kb.formulas)
     relevant = sorted(modalities)
     core = _conjoin([desugar(g) for g in kb.formulas])
     neg_query = Not(desugar(f))

@@ -7,12 +7,13 @@ accessible world; the defeasible diamond when it holds at at least one.
 
 Formulas are evaluated over bitsets, in one of two layouts.
 
-* For one explicit model, `_mask` gives the worlds satisfying a formula
-  as one int: bit j stands for `model.worlds[j]`.  It reads tables that
-  a model builds on first use (the bit of each world, a mask per atom, a
-  successor row per world and modality, the preferred worlds of each
-  world and a cache of minimal subsets).  The public evaluation
-  functions below read `_mask`.
+* For one explicit model, `_masks` gives the worlds satisfying each of
+  a batch of formulas as one int: bit j stands for `model.worlds[j]`.
+  It reads tables that a model builds in its constructor: the bit of
+  each world, a mask per atom, per modality a successor row and a
+  minimal-successor row per world, and the preferred worlds of each
+  world.  The public evaluation functions below read `_masks`, one
+  call, and so one shared evaluation, per question.
 * The brute-force oracle, `first_model`, asks one question of many
   small models: every model of at most 3 worlds over a signature.  Its
   bits run across models instead (`bitparallel.Models`): for each world
@@ -22,7 +23,7 @@ Formulas are evaluated over bitsets, in one of two layouts.
 An explicit model may have many worlds but is one model; the oracle's
 models have at most 3 worlds but there are up to hundreds of thousands
 of them.  Each layout puts its bits where the count is large.
-`first_model` re-checks every model it returns with `_mask`, so the
+`first_model` re-checks every model it returns with `_masks`, so the
 oracle's answers are certified by the other evaluator.
 """
 
@@ -35,7 +36,7 @@ from typing import Iterator, Optional
 
 from .syntax import (
     And, Atom, Bottom, Box, DefBox, DefDia, Dia, Formula, Iff, Implies, Not,
-    Or, Top,
+    Or, Top, atoms_of, modalities_of,
 )
 from .syntax import Conditional  # noqa: F401  (re-exported)
 from .bitparallel import Models
@@ -66,12 +67,15 @@ class PreferentialModel:
     """Worlds, per-modality accessibility, valuation, and preference.
 
     ``preference`` holds pairs (a, b) meaning a is strictly preferred to
-    (more normal than) b, stored transitively closed.  Instances are
-    treated as immutable after construction.
+    (more normal than) b, stored transitively closed.  The evaluator's
+    tables are built here, once: the bit of each world, a mask per atom,
+    per modality a successor row and a minimal-successor row per world,
+    and the preferred worlds of each world.  Instances must therefore
+    not be changed after construction: the tables would not follow.
     """
 
     __slots__ = ("worlds", "atoms", "modalities", "relations", "valuation",
-                 "preference", "_index", "_val", "_succ", "_pred", "_mins")
+                 "preference", "_index", "_val", "_succ", "_min_succ", "_pred")
 
     def __init__(self, worlds, atoms, modalities, relations, valuation,
                  preference):
@@ -81,27 +85,19 @@ class PreferentialModel:
         self.relations = {i: frozenset(pairs) for i, pairs in relations.items()}
         self.valuation = {w: frozenset(v) for w, v in valuation.items()}
         self.preference = frozenset(preference)
-        self._index = None
-
-    def _tables(self):
-        """The evaluator's tables, built on first use: world -> bit,
-        atom -> mask, modality -> successor rows, the preferred worlds of
-        each world, and minimal subsets by mask."""
-        if self._index is None:
-            index = {w: j for j, w in enumerate(self.worlds)}
-            val = self._val = {}
-            for w, names in self.valuation.items():
-                for p in names:
-                    val[p] = val.get(p, 0) | 1 << index[w]
-            self._succ = {i: _rows(pairs, index)
-                          for i, pairs in self.relations.items()}
-            self._pred = _rows(((b, a) for a, b in self.preference), index)
-            self._mins = {}
-            self._index = index
-        return self._index
+        index = self._index = {w: j for j, w in enumerate(self.worlds)}
+        val = self._val = {}
+        for w, names in self.valuation.items():
+            for p in names:
+                val[p] = val.get(p, 0) | 1 << index[w]
+        self._succ = {i: _rows(pairs, index)
+                      for i, pairs in self.relations.items()}
+        self._pred = _rows(((b, a) for a, b in self.preference), index)
+        self._min_succ = {i: [_minimal(self, row) for row in rows]
+                          for i, rows in self._succ.items()}
 
     def successors(self, modality, world):
-        j = self._tables().get(world)
+        j = self._index.get(world)
         rows = self._succ.get(modality)
         if j is None or rows is None:
             return set()
@@ -235,31 +231,27 @@ def _names(model, mask):
 
 def _minimal(model, mask):
     """The preference-minimal worlds among those of mask, as a mask."""
-    out = model._mins.get(mask)
-    if out is None:
-        pred = model._pred
-        out = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            if not pred[low.bit_length() - 1] & mask:
-                out |= low
-            rest ^= low
-        model._mins[mask] = out
+    pred = model._pred
+    out = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if not pred[low.bit_length() - 1] & mask:
+            out |= low
+        rest ^= low
     return out
 
 
-def _mask(model: PreferentialModel, f: Formula) -> int:
-    """The worlds satisfying f, one bit per world.
+def _masks(model: PreferentialModel, formulas) -> list:
+    """The worlds satisfying each formula, one bit per world.
 
-    Binary and modal subformulas are memoised on the node, so a formula
-    costs about its number of distinct nodes, however often they are
-    shared.
+    The formulas share one evaluation: binary and modal subformulas are
+    memoised on the node, so the batch costs about its number of
+    distinct nodes, however often they are shared within or between the
+    formulas.  The memo lives for this call only.
     """
-    if model._index is None:
-        model._tables()
     full = (1 << len(model.worlds)) - 1
-    val, succ = model._val, model._succ
+    val, succ, min_succ = model._val, model._succ, model._min_succ
     memo = {}
 
     def ev(g):
@@ -285,9 +277,8 @@ def _mask(model: PreferentialModel, f: Formula) -> int:
             out = full ^ ev(g.left) ^ ev(g.right)
         elif t is Box or t is Dia or t is DefBox or t is DefDia:
             sub = ev(g.operand)
-            rows = succ.get(g.modality, ())
-            if t is DefBox or t is DefDia:
-                rows = [_minimal(model, row) for row in rows]
+            table = succ if t is Box or t is Dia else min_succ
+            rows = table.get(g.modality, ())
             if t is Box or t is DefBox:
                 out = full
                 for j, row in enumerate(rows):
@@ -304,16 +295,21 @@ def _mask(model: PreferentialModel, f: Formula) -> int:
         return out
 
     try:
-        return ev(f)
+        return [ev(f) for f in formulas]
     finally:
         # ev refers to itself: without this, every call would leave a
         # reference cycle, with the model and memo, to the collector
         del ev
 
 
+def _mask(model: PreferentialModel, f: Formula) -> int:
+    """The worlds satisfying f, one bit per world: `_masks` of one."""
+    return _masks(model, (f,))[0]
+
+
 def min_preferred(model: PreferentialModel, worlds) -> set:
     """The preference-minimal elements of a set of worlds."""
-    index = model._tables()
+    index = model._index
     mask = 0
     for w in worlds:
         if w not in index:
@@ -328,7 +324,7 @@ def extension(model: PreferentialModel, f: Formula) -> set:
 
 
 def holds_at(model: PreferentialModel, world, f: Formula) -> bool:
-    j = model._tables().get(world)
+    j = model._index.get(world)
     if j is None:
         raise ModelError(f"unknown world {world!r}")
     return bool(_mask(model, f) >> j & 1)
@@ -340,12 +336,14 @@ def globally_true(model: PreferentialModel, f: Formula) -> bool:
 
 def holds_conditional(model: PreferentialModel, c) -> bool:
     """KLM reading: every minimal antecedent-world satisfies the consequent."""
-    ante = _minimal(model, _mask(model, c.antecedent))
-    return not ante & ~_mask(model, c.consequent)
+    ante, cons = _masks(model, (c.antecedent, c.consequent))
+    return not _minimal(model, ante) & ~cons
 
 
 def satisfies_kb_globally(model: PreferentialModel, kb) -> bool:
-    return all(globally_true(model, f) for f in kb)
+    """Every formula of kb holds at every world; one shared evaluation."""
+    full = (1 << len(model.worlds)) - 1
+    return all(mask == full for mask in _masks(model, kb))
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +443,8 @@ def first_model(sig: ModelSignature, goal: Formula,
             dict(zip(worlds, [valuations[v] for v in digits[:k]])),
             orders[digits[-1]])
         full = (1 << k) - 1
-        if not _mask(model, goal) >> slot & 1 or \
-                any(_mask(model, g) != full for g in assumptions):
+        goal_mask, *masks = _masks(model, (goal, *assumptions))
+        if not goal_mask >> slot & 1 or any(m != full for m in masks):
             raise InvariantViolation(
                 f"oracle model fails the per-model check: {model!r}")
         return model, worlds[slot]
@@ -463,11 +461,6 @@ def brute_force_satisfiable(f: Formula,
 
 
 def signature_for(formulas, max_worlds: int = 3) -> ModelSignature:
-    from .syntax import atoms_of, modalities_of
-    atoms = set()
-    modalities = set()
-    for f in formulas:
-        atoms |= atoms_of(f)
-        modalities |= modalities_of(f)
-    return ModelSignature(tuple(sorted(atoms)), tuple(sorted(modalities)),
-                          max_worlds)
+    formulas = tuple(formulas)
+    return ModelSignature(tuple(sorted(atoms_of(*formulas))),
+                          tuple(sorted(modalities_of(*formulas))), max_worlds)

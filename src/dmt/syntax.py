@@ -413,22 +413,14 @@ def desugar(f: Formula) -> Formula:
 
 
 def is_core(f: Formula) -> bool:
-    if isinstance(f, (Atom, Bottom)):
-        return True
-    if isinstance(f, Not):
-        return is_core(f.operand)
-    if isinstance(f, And):
-        return is_core(f.left) and is_core(f.right)
-    if isinstance(f, (Box, DefBox)):
-        return is_core(f.operand)
-    return False
+    """True iff f is in the core fragment that `desugar` produces."""
+    core = (Atom, Bottom, Not, And, Box, DefBox)
+    return all(isinstance(g, core) for g in subformulas(f))
 
 
 def is_classical(f: Formula) -> bool:
     """True iff f contains no defeasible modality."""
-    if isinstance(f, (DefBox, DefDia)):
-        return False
-    return all(is_classical(g) for g in children(f))
+    return not any(isinstance(g, (DefBox, DefDia)) for g in subformulas(f))
 
 
 def children(f: Formula) -> tuple:
@@ -451,33 +443,37 @@ def subformulas(*roots: Formula) -> set:
     return out
 
 
+def _bottom_up(f, combine):
+    """combine(g, the values of g's children) for each distinct node g of
+    f, children first, without recursion; the value at f."""
+    value = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        kids = children(g)
+        pending = [k for k in kids if k not in value]
+        if pending:
+            stack.extend(pending)
+        else:
+            stack.pop()
+            value[g] = combine(g, [value[k] for k in kids])
+    return value[f]
+
+
 def size(f: Formula) -> int:
-    return 1 + sum(size(g) for g in children(f))
+    """The number of nodes of f as a tree: a shared subformula counts
+    once per occurrence."""
+    return _bottom_up(f, lambda g, sizes: 1 + sum(sizes))
 
 
 def modal_depth(f: Formula) -> int:
-    if isinstance(f, MODAL):
-        return 1 + modal_depth(f.operand)
-    if isinstance(f, Not):
-        return modal_depth(f.operand)
-    if isinstance(f, BINARY):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    return 0
+    return _bottom_up(
+        f, lambda g, depths: max(depths, default=0) + isinstance(g, MODAL))
 
 
-def atoms_of(f: Formula) -> set:
-    if isinstance(f, Atom):
-        return {f.name}
-    out = set()
-    for g in children(f):
-        out |= atoms_of(g)
-    return out
+def atoms_of(*roots: Formula) -> set:
+    return {g.name for g in subformulas(*roots) if isinstance(g, Atom)}
 
 
-def modalities_of(f: Formula) -> set:
-    out = set()
-    if isinstance(f, MODAL):
-        out.add(f.modality)
-    for g in children(f):
-        out |= modalities_of(g)
-    return out
+def modalities_of(*roots: Formula) -> set:
+    return {g.modality for g in subformulas(*roots) if isinstance(g, MODAL)}

@@ -40,7 +40,7 @@ from .syntax import (
     subformulas,
 )
 from .semantics import (
-    InvariantViolation, PreferentialModel, extension, transitive_closure,
+    InvariantViolation, PreferentialModel, _masks, transitive_closure,
 )
 
 DEFAULT_MAX_RULE_APPS = 10_000
@@ -404,13 +404,14 @@ def extract_model(branch: Branch) -> PreferentialModel:
 def verify_branch_model(branch: Branch, model: PreferentialModel) -> bool:
     """Check that every labeled formula holds at its world in the model.
 
-    Each formula is evaluated once, for all of its labels.
+    The branch formulas share one evaluation, so a formula on several
+    labels, or a subformula of several formulas, is evaluated once;
+    then one bit is read per labeled formula.
     """
-    worlds_of = {}
-    for n, g in branch.formulas:
-        worlds_of.setdefault(g, []).append(world_name(n))
-    for g, worlds in worlds_of.items():
-        ext = extension(model, g)
-        if not all(w in ext for w in worlds):
+    index = model._index
+    masks = _masks(model, [g for _, g in branch.formulas])
+    for (n, _), mask in zip(branch.formulas, masks):
+        j = index.get(world_name(n))
+        if j is None or not mask >> j & 1:
             return False
     return True

@@ -403,6 +403,9 @@ def _naive_closure(pairs):
 
 def test_evaluator_matches_definitions():
     rng = random.Random(41)
+    # the second formulas come from their own generator, so that the
+    # draws of rng stay what they were before they were added
+    rng_g = random.Random(42)
     for max_worlds, min_worlds, n, size in ((4, 1, 300, 10),
                                             (64, 16, 12, 10)):
         for _ in range(n):
@@ -410,10 +413,20 @@ def test_evaluator_matches_definitions():
                              min_worlds=min_worlds)
             f = random_formula(rng, rng.randint(1, size),
                                modalities=("a", "b"))
+            g = random_formula(rng_g, rng_g.randint(1, size),
+                               modalities=("a", "b"))
             memo = {}
             want = {w for w in m.worlds if _defined_truth(m, w, f, memo)}
+            want_g = {w for w in m.worlds if _defined_truth(m, w, g, memo)}
             assert extension(m, f) == want
             assert globally_true(m, f) == (want == set(m.worlds))
+            # the batched callers: one evaluation for f and g together
+            minimal = {w for w in want
+                       if not any((u, w) in m.preference for u in want)}
+            assert holds_conditional(m, Conditional(f, g)) == \
+                (minimal <= want_g)
+            assert satisfies_kb_globally(m, (f, g)) == \
+                (want == want_g == set(m.worlds))
     for _ in range(300):
         n = rng.randint(1, 12)
         pairs = {(rng.randrange(n), rng.randrange(n))

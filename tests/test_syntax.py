@@ -10,9 +10,9 @@ from dmt import syntax
 from dmt.cli import run
 from dmt.syntax import (
     And, Atom, Bottom, Box, Conditional, DefBox, DefDia, Dia, Iff, Implies,
-    Not, Or, Plain, SyntaxError_, Top, children, desugar, is_classical,
-    is_core, modal_depth, parse_formula, parse_statement, render_formula,
-    size, subformulas,
+    Not, Or, Plain, SyntaxError_, Top, atoms_of, children, desugar,
+    is_classical, is_core, modal_depth, modalities_of, parse_formula,
+    parse_statement, render_formula, size, subformulas,
 )
 from conftest import random_formula
 
@@ -186,6 +186,26 @@ class TestInterning:
 
     def test_sat_on_long_iff_chain(self):
         assert run(["sat", iff_chain(40)]) == 0
+
+    def test_walkers_on_long_iff_chain(self):
+        # each walker visits the distinct nodes, which are few, not the
+        # tree, which doubles per atom
+        f = desugar(parse_formula(iff_chain(40)))
+        tree = 1
+        for _ in range(39):
+            # a <-> b desugars to 7 nodes around two copies of a and of b
+            tree = 7 + 2 * tree + 2
+        assert size(f) == tree
+        assert modal_depth(f) == 0
+        assert atoms_of(f) == {f"p{i}" for i in range(40)}
+        assert modalities_of(f) == set()
+        assert is_core(f) and is_classical(f)
+        g = desugar(parse_formula(
+            " <-> ".join(f"<<m{i}>>p{i}" for i in range(40))))
+        assert modal_depth(g) == 1
+        assert modalities_of(g) == {f"m{i}" for i in range(40)}
+        assert atoms_of(f, g) == atoms_of(f)
+        assert is_core(g) and not is_classical(g)
 
 
 # hypothesis strategy over the full language

@@ -264,11 +264,9 @@ class TestVerifyBranchModel:
 
     def test_tampered_model_fails(self):
         verdict = decide(parse_formula(FIGURE5))
-        m = verdict.model
-        tampered = validate_model(m.to_json_dict())
-        flipped = dict(tampered.valuation)
-        flipped["n2"] = flipped["n2"] | {"q"}
-        tampered.valuation.update(flipped)
+        raw = verdict.model.to_json_dict()
+        raw["valuation"]["n2"] = sorted({*raw["valuation"]["n2"], "q"})
+        tampered = validate_model(raw)
         assert not verify_branch_model(verdict.branch, tampered)
 
     def test_trivial(self):
