@@ -102,7 +102,9 @@ def _box_closure(core, modalities, depth):
 
 
 # Skip the brute-force fallback when the enumeration space is too large.
-_BRUTE_FORCE_BUDGET = 500_000
+# Sized by the bit-parallel oracle, about 0.2 s of scanning: all 12.6 M
+# 2-world models over 5 atoms and 3 modalities fit, 3 worlds do not.
+_BRUTE_FORCE_BUDGET = 20_000_000
 
 
 def _model_space_size(n_atoms, n_modalities, max_worlds):

@@ -12,6 +12,18 @@ minimal, or a second, formula-free fresh successor is created strictly
 below it and asserted minimal.  Countermodels extracted from open
 saturated branches therefore include formula-free labels as worlds.
 
+The disjunction rule (or), on a desugared ~(A & B), searches as in
+Horrocks & Patel-Schneider, "Optimising description logic subsumption"
+(J. Logic and Computation 9(3), 1999).  When a disjunct, ~A or ~B, is
+already on the label, nothing is added (event (or:satisfied)).  When the
+complement of one disjunct, A or B, is on the label, the other disjunct
+is added without a split (unit propagation, event (or:unit)).  Otherwise
+the branch splits into ~A (or:left) and ~B (or:right), and the right
+side also receives A, so the two sides share no model (semantic
+branching).  ~(A & B) is equivalent to ~A | (A & ~B), and A lies in the
+subformula closure, so the calculus, its soundness and completeness and
+its termination are unchanged: only the search is shorter.
+
 Each branch keeps one first-in first-out agenda of pending instances
 per rule, in rule order: (bot), (neg), (and), (box), (defbox), (defdia),
 (or), (dia).  `step` applies the oldest instance of the first non-empty
@@ -214,10 +226,34 @@ def _defdia(branch, label, f):
 
 
 def _or(branch, label, f):
+    """(or) on ~(A & B), whose disjuncts are ~A and ~B.
+
+    Satisfied: a disjunct is already on the label; logged as
+    (or:satisfied), nothing is added.  Unit: the complement of one
+    disjunct (A or B) is on the label, so the other disjunct is added in
+    place, logged as (or:unit).  Otherwise the branch splits, (or:left)
+    taking ~A and (or:right) taking ~B and A: semantic branching, so
+    that the two sides share no model.
+    """
+    a, b = f.operand.left, f.operand.right
+    not_a, not_b = Not(a), Not(b)
+    present = branch.formula_set
+    for disjunct in (not_a, not_b):
+        if (label, disjunct) in present:
+            branch.log("(or:satisfied)", label, f,
+                       f"{label} :: {{}} already holds", (disjunct,))
+            return None
+    for known, other in ((a, not_b), (b, not_a)):
+        if (label, known) in present:
+            branch.add_formula(label, other)
+            branch.log("(or:unit)", label, f, f"{label} :: {{}} (with {{}})",
+                       (other, known))
+            return None
     right = branch.clone()
-    branch.add_formula(label, Not(f.operand.left))
+    branch.add_formula(label, not_a)
     branch.log("(or:left)", label, f)
-    right.add_formula(label, Not(f.operand.right))
+    right.add_formula(label, not_b)
+    right.add_formula(label, a)
     right.log("(or:right)", label, f)
     return [branch, right]
 

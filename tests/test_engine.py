@@ -94,6 +94,29 @@ class TestGlobalEntails:
         assert isinstance(verdict, Entailed)
         assert verdict.proved_at_depth <= 2
 
+    @pytest.mark.parametrize("query", [
+        "p -> <<f>>~h",
+        "h -> <<f>>~h",
+        "c -> <<f>>~h",
+    ])
+    def test_entailed_within_default_limits(self, power_kb, query):
+        # entailed (bench/README.md proves the first, and h and c force
+        # ~h at the minimal f-successors the same way), within the
+        # default rule-application limit
+        verdict = global_entails(power_kb, parse_formula(query))
+        assert isinstance(verdict, Entailed)
+
+    @pytest.mark.parametrize("query", ["c -> [f]c", "r -> [g]r"])
+    def test_two_world_countermodels_found(self, power_kb, query):
+        # each needs a 2-world countermodel from the brute-force fallback
+        kb = KnowledgeBase(power_kb.formulas + (
+            parse_formula("r -> [g]s"), parse_formula("s -> <<g>>r")))
+        f = parse_formula(query)
+        verdict = global_entails(kb, f)
+        assert isinstance(verdict, NotEntailed)
+        assert satisfies_kb_globally(verdict.countermodel, kb.formulas)
+        assert not holds_at(verdict.countermodel, verdict.witness_world, f)
+
     def test_empty_kb_is_validity(self):
         verdict = global_entails(KnowledgeBase(()), p)
         assert isinstance(verdict, NotEntailed)

@@ -14,6 +14,7 @@ from dmt.tableau import (
     step, verify_branch_model, world_name,
 )
 from conftest import random_formula
+from test_acceptance import exhaustive_core_corpus
 
 p, q = Atom("p"), Atom("q")
 
@@ -217,20 +218,64 @@ class TestRuleOrder:
     def test_closed_traces(self):
         prefix = ("(and) @ 0 :: ~(~p & ~q) & ~p & ~q",
                   "(and) @ 0 :: ~(~p & ~q) & ~p")
+        # ~p is on the label, so (or) adds the other disjunct, no split
         assert decide(parse_formula("(p | q) & ~p & ~q")).traces == (
-            prefix + ("(or:left) @ 0 :: ~(~p & ~q)",
-                      "(bot) @ 0 :: ~~p [=> 0 :: false (with ~p)]",
-                      "branch closed"),
-            prefix + ("(or:right) @ 0 :: ~(~p & ~q)",
+            prefix + ("(or:unit) @ 0 :: ~(~p & ~q) [=> 0 :: ~~q (with ~p)]",
                       "(bot) @ 0 :: ~~q [=> 0 :: false (with ~q)]",
                       "branch closed"),
         )
 
     def test_figure5_rule_application_count(self):
         f = parse_formula(FIGURE5)
-        with pytest.raises(ResourceLimitError, match="limit 13 exceeded"):
-            decide(f, max_rule_apps=13)
-        assert isinstance(decide(f, max_rule_apps=14), Open)
+        # 3 shared applications, 4 on the closed (dia:min) side, 5 on
+        # the open one; (or) is a unit step on both sides
+        with pytest.raises(ResourceLimitError, match="limit 11 exceeded"):
+            decide(f, max_rule_apps=11)
+        assert isinstance(decide(f, max_rule_apps=12), Open)
+
+
+class TestOrRule:
+    """(or) on ~(A & B): satisfied and unit cases, semantic branching."""
+
+    def test_unit_opens_without_split(self):
+        verdict = decide(parse_formula("(p | q) & ~p"))
+        assert isinstance(verdict, Open)
+        rules = {line.split()[0] for line in verdict.trace}
+        assert "(or:unit)" in rules
+        assert not rules & {"(or:left)", "(or:right)"}
+        assert (0, Not(Not(q))) in verdict.branch.formula_set
+
+    def test_unit_closes_on_one_branch(self):
+        verdict = decide(parse_formula("(p | q) & ~p & ~q"))
+        assert isinstance(verdict, Closed)
+        assert len(verdict.traces) == 1
+
+    def test_satisfied_disjunction_skipped(self):
+        # q -> r is ~(q & ~r), and its disjunct ~q is already on label 0
+        verdict = decide(parse_formula("~q & (q -> r)"))
+        assert verdict.trace == (
+            "(and) @ 0 :: ~q & ~(q & ~r)",
+            "(or:satisfied) @ 0 :: ~(q & ~r) [=> 0 :: ~q already holds]",
+            "branch open (saturated)",
+        )
+
+    def test_right_side_carries_left_complement(self):
+        (b,) = initial_tableau(parse_formula("p | q"))
+        left, right = step(b)
+        assert (0, Not(Not(p))) in left.formula_set
+        assert (0, Not(p)) not in left.formula_set
+        assert {(0, Not(Not(q))), (0, Not(p))} <= right.formula_set
+
+    def test_invariants_on_core_corpus(self):
+        # every formula semantic branching adds is in the subformula
+        # closure; the corpus reaches the unit case and the right side
+        seen = set()
+        for f in exhaustive_core_corpus(6):
+            verdict = decide(f, check_invariants=True)
+            branches = (verdict.events if isinstance(verdict, Closed)
+                        else [verdict.branch.events])
+            seen.update(e[0] for events in branches for e in events)
+        assert {"(or:unit)", "(or:left)", "(or:right)"} <= seen
 
 
 class TestExtractModel:
