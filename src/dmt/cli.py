@@ -66,6 +66,16 @@ def _limits():
     return limits
 
 
+def _write_model(model, path):
+    """Save model to path, when an output path was given."""
+    if path is None:
+        return
+    try:
+        save_model(model, path)
+    except OSError as exc:
+        raise UsageError(f"cannot write model {path}: {exc}")
+
+
 def _print_trace(verdict):
     if isinstance(verdict, Closed):
         for trace in verdict.traces:
@@ -84,8 +94,7 @@ def cmd_sat(args):
     if isinstance(verdict, Closed):
         print("UNSAT")
         return EXIT_NO
-    if args.model_out:
-        save_model(verdict.model, args.model_out)
+    _write_model(verdict.model, args.model_out)
     print("SAT")
     return EXIT_YES
 
@@ -98,8 +107,7 @@ def cmd_valid(args):
     if isinstance(verdict, Closed):
         print("VALID")
         return EXIT_YES
-    if args.countermodel_out:
-        save_model(verdict.model, args.countermodel_out)
+    _write_model(verdict.model, args.countermodel_out)
     print("INVALID")
     return EXIT_NO
 
@@ -107,11 +115,11 @@ def cmd_valid(args):
 def cmd_check(args):
     try:
         model = load_model(args.model)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot load model {args.model}: {exc}")
     statement = _read_arg(args.formula, parse_statement)
     if isinstance(statement, Conditional):
-        if args.at:
+        if args.at is not None:
             raise UsageError("--at does not apply to conditional statements")
         if holds_conditional(model, statement):
             print("HOLDS (conditional)")
@@ -119,7 +127,7 @@ def cmd_check(args):
         print("FAILS (conditional)")
         return EXIT_NO
     f = statement.formula
-    if args.at:
+    if args.at is not None:
         if args.at not in model.worlds:
             raise UsageError(f"unknown world {args.at!r}")
         if holds_at(model, args.at, f):
@@ -146,8 +154,7 @@ def cmd_entails(args):
         print(f"ENTAILED (depth {verdict.proved_at_depth})")
         return EXIT_YES
     if isinstance(verdict, NotEntailed):
-        if args.countermodel_out:
-            save_model(verdict.countermodel, args.countermodel_out)
+        _write_model(verdict.countermodel, args.countermodel_out)
         print(f"NOT-ENTAILED (witness {verdict.witness_world})")
         return EXIT_NO
     print(f"UNKNOWN (depth exhausted at {verdict.depth_exhausted})")
@@ -165,8 +172,7 @@ def cmd_oracle_sat(args):
         print(f"UNSAT (no model with at most {args.max_worlds} worlds)")
         return EXIT_NO
     model, world = found
-    if args.model_out:
-        save_model(model, args.model_out)
+    _write_model(model, args.model_out)
     print(f"SAT (at {world} in a {len(model.worlds)}-world model)")
     return EXIT_YES
 

@@ -12,6 +12,10 @@ The surface language is ASCII:
 Precedence: unary operators bind tightest, then &, then |, then ->
 (right-associative), then <->.  "#" starts a comment to end of line.
 
+Two tables are the single source of the operators' concrete syntax,
+read by the tokenizer, the parser and the renderer alike: `_PREFIX` for
+the modal operators and `_INFIX` for the binary ones.
+
 AST nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", 2006): calling a node class returns the node already
 built from the same class and fields while it is alive, found through
@@ -27,9 +31,6 @@ from __future__ import annotations
 import re
 import weakref
 from typing import Union
-
-IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
-
 
 # ---------------------------------------------------------------------------
 # AST
@@ -145,227 +146,166 @@ class SyntaxError_(ValueError):
         self.column = column
 
 
+def _error(text, offset, message):
+    """A SyntaxError_ at a character offset of text; a tab or a carriage
+    return is one column, and only a newline starts a line."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return SyntaxError_(message, text.count("\n", 0, offset) + 1,
+                        offset - line_start + 1)
+
+
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Concrete syntax: the two operator tables
 
-_PUNCT = ["<->", "->", "|~", "[[", "]]", "<<", ">>",
-          "[", "]", "<", ">", "(", ")", "~", "&", "|"]
+# opening token -> (closing token, class) of each modal prefix operator
+_PREFIX = {"[": ("]", Box), "<": (">", Dia),
+          "[[": ("]]", DefBox), "<<": (">>", DefDia)}
 
+# token -> (precedence, right-associative, class) of each binary operator;
+# a higher precedence binds tighter
+_INFIX = {"<->": (1, False, Iff), "->": (2, True, Implies),
+          "|": (3, False, Or), "&": (4, False, And)}
+
+_SYMBOLS = [*_PREFIX, *(close for close, _ in _PREFIX.values()), *_INFIX,
+            "|~", "(", ")", "~"]
+
+# one token per match: whitespace, an identifier, a symbol (longest first,
+# so that "[[" is not read as two "["), a comment, or a stray character
 _TOKEN_RE = re.compile(
-    "|".join(re.escape(p) for p in _PUNCT) + r"|[a-zA-Z][a-zA-Z0-9_]*"
-)
+    r"[ \t\r\n]+|([a-zA-Z][a-zA-Z0-9_]*)|("
+    + "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True)))
+    + r")|(#[^\n]*)|(.)")
 
 
 def _tokenize(text):
-    """Yield (kind, value, line, col); longest match wins by regex order."""
+    """The (kind, value, offset) tokens of text, ending with an "eof"."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            j = text.find("\n", i)
-            if j < 0:
-                break
-            col += j - i
-            i = j
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise SyntaxError_(f"unexpected character {ch!r}", line, col)
-        value = m.group(0)
-        kind = "ident" if value[0].isalpha() else value
-        if value in ("true", "false"):
-            kind = value
-        tokens.append((kind, value, line, col))
-        col += len(value)
-        i = m.end()
-    tokens.append(("eof", "", line, col))
+    end = len(text)
+    for m in _TOKEN_RE.finditer(text):
+        word, symbol, comment, stray = m.groups()
+        if word:
+            kind = word if word in ("true", "false") else "ident"
+            tokens.append((kind, word, m.start()))
+        elif symbol:
+            tokens.append((symbol, symbol, m.start()))
+        elif stray:
+            raise _error(text, m.start(), f"unexpected character {stray!r}")
+        elif comment and m.end() == end:
+            # input that ends inside a comment ends where the comment starts
+            end = m.start()
+    tokens.append(("eof", "", end))
     return tokens
 
 
 class _Parser:
     def __init__(self, text):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def expect(self, kind):
-        tok = self.peek()
-        if tok[0] != kind:
+        """Read a token of the given kind; its value."""
+        token_kind, value, _ = self.tokens[self.pos]
+        if token_kind != kind:
             self.fail([kind])
-        return self.next()
+        self.pos += 1
+        return value
 
     def fail(self, expected):
-        kind, value, line, col = self.peek()
+        kind, value, offset = self.tokens[self.pos]
         got = "end of input" if kind == "eof" else repr(value)
-        raise SyntaxError_(
-            f"unexpected {got}, expected one of: {', '.join(sorted(expected))}",
-            line, col)
+        raise _error(self.text, offset, f"unexpected {got}, expected one of: "
+                                        f"{', '.join(sorted(expected))}")
 
-    # formula := iff ; iff := imp ("<->" imp)*
-    def formula(self):
-        f = self.imp()
-        while self.peek()[0] == "<->":
-            self.next()
-            f = Iff(f, self.imp())
-        return f
-
-    # imp := or ("->" imp)?   (right-associative)
-    def imp(self):
-        f = self.or_()
-        if self.peek()[0] == "->":
-            self.next()
-            return Implies(f, self.imp())
-        return f
-
-    def or_(self):
-        f = self.and_()
-        while self.peek()[0] == "|":
-            self.next()
-            f = Or(f, self.and_())
-        return f
-
-    def and_(self):
+    def formula(self, min_prec=1):
+        """Precedence climbing over _INFIX: the longest formula whose
+        top operators all have at least min_prec."""
         f = self.unary()
-        while self.peek()[0] == "&":
-            self.next()
-            f = And(f, self.unary())
-        return f
+        while True:
+            op = _INFIX.get(self.tokens[self.pos][0])
+            if op is None or op[0] < min_prec:
+                return f
+            self.pos += 1
+            prec, right, cls = op
+            f = cls(f, self.formula(prec if right else prec + 1))
 
     def unary(self):
-        kind, value, line, col = self.peek()
+        kind, value, _ = self.tokens[self.pos]
+        self.pos += 1
         if kind == "~":
-            self.next()
             return Not(self.unary())
-        if kind == "[[":
-            self.next()
-            name = self.expect("ident")[1]
-            self.expect("]]")
-            return DefBox(name, self.unary())
-        if kind == "<<":
-            self.next()
-            name = self.expect("ident")[1]
-            self.expect(">>")
-            return DefDia(name, self.unary())
-        if kind == "[":
-            self.next()
-            name = self.expect("ident")[1]
-            self.expect("]")
-            return Box(name, self.unary())
-        if kind == "<":
-            self.next()
-            name = self.expect("ident")[1]
-            self.expect(">")
-            return Dia(name, self.unary())
+        if kind in _PREFIX:
+            close, cls = _PREFIX[kind]
+            name = self.expect("ident")
+            self.expect(close)
+            return cls(name, self.unary())
+        if kind == "ident":
+            return Atom(value)
         if kind == "true":
-            self.next()
             return Top()
         if kind == "false":
-            self.next()
             return Bottom()
-        if kind == "ident":
-            self.next()
-            return Atom(value)
         if kind == "(":
-            self.next()
             f = self.formula()
             self.expect(")")
             return f
-        self.fail(["~", "[", "<", "[[", "<<", "true", "false",
-                   "identifier", "("])
+        self.pos -= 1  # fail reports the token just read
+        self.fail(["~", *_PREFIX, "true", "false", "identifier", "("])
 
     def statement(self):
         f = self.formula()
-        if self.peek()[0] == "|~":
-            self.next()
-            g = self.formula()
-            if self.peek()[0] == "|~":
-                self.fail(["end of input"])
-            return Conditional(f, g)
-        return Plain(f)
+        if self.tokens[self.pos][0] != "|~":
+            return Plain(f)
+        self.pos += 1
+        # a second "|~" is left over, and rejected as trailing input
+        return Conditional(f, self.formula())
+
+
+def _parse(text, rule):
+    p = _Parser(text)
+    result = rule(p)
+    if p.tokens[p.pos][0] != "eof":
+        p.fail(["end of input"])
+    return result
 
 
 def parse_formula(text: str) -> Formula:
-    p = _Parser(text)
-    f = p.formula()
-    if p.peek()[0] != "eof":
-        p.fail(["end of input"])
-    return f
+    return _parse(text, _Parser.formula)
 
 
 def parse_statement(text: str) -> Statement:
-    p = _Parser(text)
-    s = p.statement()
-    if p.peek()[0] != "eof":
-        p.fail(["end of input"])
-    return s
+    return _parse(text, _Parser.statement)
 
 
 # ---------------------------------------------------------------------------
-# Pretty-printing
+# Pretty-printing, from the same tables
 
-_PREC_IFF = 1
-_PREC_IMP = 2
-_PREC_OR = 3
-_PREC_AND = 4
-_PREC_UNARY = 5
+_PREFIX_OF = {cls: (open_, close) for open_, (close, cls) in _PREFIX.items()}
+_INFIX_OF = {cls: (token, prec, right)
+             for token, (prec, right, cls) in _INFIX.items()}
+# ~ and the prefix operators bind tighter than every binary operator
+_TIGHTEST = 1 + max(prec for prec, _, _ in _INFIX.values())
 
 
 def _render(f, parent_prec):
-    if isinstance(f, Atom):
+    cls = type(f)
+    if cls is Atom:
         return f.name
-    if isinstance(f, Top):
+    if cls is Top:
         return "true"
-    if isinstance(f, Bottom):
+    if cls is Bottom:
         return "false"
-    if isinstance(f, Not):
-        return "~" + _render(f.operand, _PREC_UNARY)
-    if isinstance(f, Box):
-        return f"[{f.modality}]" + _render(f.operand, _PREC_UNARY)
-    if isinstance(f, Dia):
-        return f"<{f.modality}>" + _render(f.operand, _PREC_UNARY)
-    if isinstance(f, DefBox):
-        return f"[[{f.modality}]]" + _render(f.operand, _PREC_UNARY)
-    if isinstance(f, DefDia):
-        return f"<<{f.modality}>>" + _render(f.operand, _PREC_UNARY)
-    if isinstance(f, And):
-        # left-associative: right child needs parens at equal precedence
-        s = (_render(f.left, _PREC_AND) + " & "
-             + _render(f.right, _PREC_AND + 1))
-        prec = _PREC_AND
-    elif isinstance(f, Or):
-        s = (_render(f.left, _PREC_OR) + " | "
-             + _render(f.right, _PREC_OR + 1))
-        prec = _PREC_OR
-    elif isinstance(f, Implies):
-        # right-associative
-        s = (_render(f.left, _PREC_IMP + 1) + " -> "
-             + _render(f.right, _PREC_IMP))
-        prec = _PREC_IMP
-    elif isinstance(f, Iff):
-        s = (_render(f.left, _PREC_IFF) + " <-> "
-             + _render(f.right, _PREC_IFF + 1))
-        prec = _PREC_IFF
-    else:
+    if cls is Not:
+        return "~" + _render(f.operand, _TIGHTEST)
+    if cls in _PREFIX_OF:
+        open_, close = _PREFIX_OF[cls]
+        return open_ + f.modality + close + _render(f.operand, _TIGHTEST)
+    if cls not in _INFIX_OF:
         raise TypeError(f"not a formula: {f!r}")
+    token, prec, right = _INFIX_OF[cls]
+    # only the operand on the associative side may share the precedence
+    s = (_render(f.left, prec + right) + f" {token} "
+         + _render(f.right, prec + (not right)))
     if prec < parent_prec:
         return "(" + s + ")"
     return s

@@ -87,6 +87,14 @@ class TestCheck:
                               "--at", "w9")
         assert code == 2 and "w9" in err
 
+    def test_empty_world_name(self, capsys):
+        code, out, err = invoke(capsys, "check", "p", "--model", FIG3,
+                                "--at", "")
+        assert code == 2 and out == "" and "unknown world ''" in err
+        code, out, err = invoke(capsys, "check", "p |~ c", "--model", FIG3,
+                                "--at", "")
+        assert code == 2 and out == "" and "--at does not apply" in err
+
 
 class TestEntails:
     def test_power_plant(self, capsys):
@@ -139,6 +147,29 @@ class TestPlumbing:
         bad.write_text(json.dumps({"worlds": ["a"], "preference": [1]}))
         code, out, err = invoke(capsys, "check", "p", "--model", str(bad))
         assert code == 2 and out == "" and "preference" in err
+
+    def test_model_nested_too_deeply(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        code, out, err = invoke(capsys, "check", "p", "--model", str(deep))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot load model {deep}: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("sat", "p", "--model-out"),
+        ("valid", "p", "--countermodel-out"),
+        ("entails", "h", "--kb", KB, "--countermodel-out"),
+        ("oracle-sat", "p", "--max-worlds", "1", "--model-out"),
+    ], ids=["sat", "valid", "entails", "oracle-sat"])
+    def test_unwritable_model_path(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "m.json"
+        code, out, err = invoke(capsys, *argv, str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write model {target}: ")
+        # an empty path names no file either
+        code, out, err = invoke(capsys, *argv, "")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write model : ")
 
     @pytest.mark.parametrize("command, text", [
         ("sat", "~" * 5000 + "p"),

@@ -18,6 +18,8 @@ from conftest import random_formula
 
 p, q, c, h = Atom("p"), Atom("q"), Atom("c"), Atom("h")
 
+OPERAND = "expected one of: (, <, <<, [, [[, false, identifier, true, ~"
+
 
 class TestParse:
     def test_conjunction_with_negation(self):
@@ -61,6 +63,23 @@ class TestParse:
     def test_error_unknown_char(self):
         with pytest.raises(SyntaxError_):
             parse_formula("p ? q")
+
+    @pytest.mark.parametrize("text, line, column, message", [
+        ("p &\t?", 1, 5, "unexpected character '?'"),
+        # a carriage return is one column; only the newline starts a line
+        ("p &\r\nq &\r\nr & )", 3, 5, f"unexpected ')', {OPERAND}"),
+        ("[a p", 1, 4, "unexpected 'p', expected one of: ]"),
+        ("[[a]p", 1, 4, "unexpected ']', expected one of: ]]"),
+        ("<<a>p", 1, 4, "unexpected '>', expected one of: >>"),
+        ("p q", 1, 3, "unexpected 'q', expected one of: end of input"),
+        # input that ends in a comment ends where the comment starts
+        ("p & # c", 1, 5, f"unexpected end of input, {OPERAND}"),
+    ])
+    def test_error_line_and_column(self, text, line, column, message):
+        with pytest.raises(SyntaxError_) as exc:
+            parse_formula(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert str(exc.value) == f"{line}:{column}: {message}"
 
 
 class TestParseStatement:
