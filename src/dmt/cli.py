@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import engine
-from .engine import Entailed, NotEntailed, load_kb
+from .engine import Entailed, KBError, NotEntailed, load_kb
 from .semantics import (
     ModelError, brute_force_satisfiable, holds_at, holds_conditional,
     globally_true, load_model, save_model, signature_for,
@@ -145,6 +145,9 @@ def cmd_check(args):
 def cmd_entails(args):
     try:
         kb = load_kb(args.kb)
+    except KBError as exc:
+        # names the file and line itself
+        raise UsageError(f"cannot load knowledge base: {exc}")
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot load knowledge base {args.kb}: {exc}")
     f = _read_arg(args.formula)

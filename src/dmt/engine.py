@@ -15,14 +15,14 @@ from typing import Optional
 
 from . import tableau
 from .semantics import (
-    Conditional, InvariantViolation, ModelSignature, PreferentialModel,
-    first_model, holds_at, satisfies_kb_globally, strict_partial_orders,
+    PARTIAL_ORDERS, Conditional, InvariantViolation, ModelSignature,
+    PreferentialModel, first_model, holds_at, satisfies_kb_globally,
 )
 # not used here; bench/tracing.py patches them on this module
 from .semantics import enumerate_models, extension  # noqa: F401
 from .syntax import (
-    And, Bottom, Box, Formula, Not, atoms_of, desugar, modal_depth,
-    modalities_of, parse_formula,
+    And, Bottom, Box, Formula, Not, SyntaxError_, atoms_of, desugar,
+    modal_depth, modalities_of, parse_formula,
 )
 from .tableau import Closed, decide
 
@@ -37,17 +37,27 @@ class KBError(ValueError):
 
 
 def load_kb(path) -> KnowledgeBase:
-    """One formula per line; '#' comments and blank lines are ignored."""
+    """One formula per line; '#' comments and blank lines are ignored.
+
+    A line that does not parse raises `KBError` naming the file, the
+    line and, for a syntax error, the column in that line.
+    """
     formulas = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
+            # the parser skips comments itself; the line is parsed as it
+            # stands, so that its columns are the file's
+            line = line.rstrip()
+            if not line.split("#", 1)[0].strip():
                 continue
             try:
-                formulas.append(parse_formula(stripped))
-            except ValueError as exc:
-                raise KBError(f"{path}:{lineno}: {exc}") from exc
+                formulas.append(parse_formula(line))
+            except SyntaxError_ as exc:
+                raise KBError(
+                    f"{path}:{lineno}:{exc.column}: {exc.message}") from exc
+            except RecursionError:
+                raise KBError(
+                    f"{path}:{lineno}: formula nested too deeply") from None
     return KnowledgeBase(tuple(formulas))
 
 
@@ -110,8 +120,8 @@ _BRUTE_FORCE_BUDGET = 20_000_000
 def _model_space_size(n_atoms, n_modalities, max_worlds):
     total = 0
     for k in range(1, max_worlds + 1):
-        orders = len(strict_partial_orders(range(k)))
-        total += (2 ** (k * n_atoms)) * (2 ** (k * k)) ** n_modalities * orders
+        total += ((2 ** (k * n_atoms)) * (2 ** (k * k)) ** n_modalities
+                  * len(PARTIAL_ORDERS[k]))
     return total
 
 

@@ -12,8 +12,11 @@ Formulas are evaluated over bitsets, in one of two layouts.
   It reads tables that a model builds in its constructor: the bit of
   each world, a mask per atom, per modality a successor row and a
   minimal-successor row per world, and the preferred worlds of each
-  world.  The public evaluation functions below read `_masks`, one
-  call, and so one shared evaluation, per question.
+  world.  `extension`, `holds_at` and `globally_true` read one
+  formula's mask through `_mask`, which keeps the last mask a model
+  gave, so asking about one formula at every world costs one
+  evaluation; the batched questions (`holds_conditional`,
+  `satisfies_kb_globally`) make one `_masks` call each.
 * The brute-force oracle, `first_model`, asks one question of many
   small models: every model of at most 3 worlds over a signature.  Its
   bits run across models instead (`bitparallel.Models`): for each world
@@ -54,6 +57,10 @@ class InvariantViolation(AssertionError):
     explicitly, so that the checks also run under ``python -O``."""
 
 
+# the formula in a model's `_last` until `_mask` has evaluated one
+_NO_FORMULA = object()
+
+
 def _rows(pairs, index):
     """One bitset row per element: bit index[b] of row index[a] is set
     for each pair (a, b)."""
@@ -72,10 +79,19 @@ class PreferentialModel:
     per modality a successor row and a minimal-successor row per world,
     and the preferred worlds of each world.  Instances must therefore
     not be changed after construction: the tables would not follow.
+
+    ``_last`` is a one-slot cache, ``(formula, mask)``, of the last
+    formula `_mask` evaluated on the model.  One slot is enough for the
+    common pattern, one formula asked about at each world in turn, and
+    it keeps at most one formula alive per model: a memo of every
+    formula seen would hold them all for the model's lifetime.  It is
+    replaced by one tuple assignment, so a reader never sees a formula
+    paired with another formula's mask.
     """
 
     __slots__ = ("worlds", "atoms", "modalities", "relations", "valuation",
-                 "preference", "_index", "_val", "_succ", "_min_succ", "_pred")
+                 "preference", "_index", "_val", "_succ", "_min_succ", "_pred",
+                 "_last")
 
     def __init__(self, worlds, atoms, modalities, relations, valuation,
                  preference):
@@ -95,6 +111,7 @@ class PreferentialModel:
         self._pred = _rows(((b, a) for a, b in self.preference), index)
         self._min_succ = {i: [_minimal(self, row) for row in rows]
                           for i, rows in self._succ.items()}
+        self._last = (_NO_FORMULA, 0)
 
     def successors(self, modality, world):
         j = self._index.get(world)
@@ -151,6 +168,15 @@ def _world_pairs(value, world_set, what):
         raise ModelError(f"{what} must be a list of pairs, not {value!r}")
     pairs = set()
     for pair in value:
+        # the common case in one test; anything else takes the checks
+        # below, which name the fault
+        t = type(pair)
+        if (t is list or t is tuple) and len(pair) == 2:
+            a, b = pair
+            if type(a) is str and type(b) is str and \
+                    a in world_set and b in world_set:
+                pairs.add((a, b))
+                continue
         if len(_name_list(pair, f"{what} entry")) != 2:
             raise ModelError(f"{what} entry {pair!r} is not a pair")
         if not set(pair) <= world_set:
@@ -303,8 +329,15 @@ def _masks(model: PreferentialModel, formulas) -> list:
 
 
 def _mask(model: PreferentialModel, f: Formula) -> int:
-    """The worlds satisfying f, one bit per world: `_masks` of one."""
-    return _masks(model, (f,))[0]
+    """The worlds satisfying f, one bit per world: `_masks` of one,
+    unless f is the formula in the model's one-slot cache (formulas are
+    interned, so `is` is equality)."""
+    last, mask = model._last
+    if f is last:
+        return mask
+    mask = _masks(model, (f,))[0]
+    model._last = (f, mask)
+    return mask
 
 
 def min_preferred(model: PreferentialModel, worlds) -> set:
@@ -372,6 +405,16 @@ def strict_partial_orders(worlds):
     return out
 
 
+def _world_names(k):
+    return tuple(f"w{j + 1}" for j in range(k))
+
+
+# the strict partial orders on the worlds of a k-world oracle model, for
+# every k the oracle looks at; built once, here
+PARTIAL_ORDERS = {k: tuple(strict_partial_orders(_world_names(k)))
+                  for k in range(1, HARD_CAP + 1)}
+
+
 def _check_bounds(sig):
     if sig.max_worlds < 1:
         raise ModelError("the set of worlds must be non-empty")
@@ -385,13 +428,13 @@ def _parts(sig, k):
     enumeration order: the worlds, the valuations of one world (tuples
     of atoms), the relations of one modality (tuples of pairs) and the
     preference orders."""
-    worlds = tuple(f"w{j + 1}" for j in range(k))
+    worlds = _world_names(k)
     pairs = [(a, b) for a in worlds for b in worlds]
     valuations = [s for r in range(len(sig.atoms) + 1)
                   for s in itertools.combinations(sig.atoms, r)]
     relations = [s for r in range(len(pairs) + 1)
                  for s in itertools.combinations(pairs, r)]
-    return worlds, valuations, relations, strict_partial_orders(worlds)
+    return worlds, valuations, relations, PARTIAL_ORDERS[k]
 
 
 def enumerate_models(sig: ModelSignature) -> Iterator[PreferentialModel]:

@@ -108,6 +108,22 @@ class TestEntails:
         assert out.startswith("NOT-ENTAILED") and code == 1
         assert target.exists()
 
+    def test_kb_syntax_error_position(self, capsys, tmp_path):
+        kb = tmp_path / "bad.kb"
+        kb.write_text("p\n    q & ?\n")
+        code, out, err = invoke(capsys, "entails", "p", "--kb", str(kb))
+        assert code == 2 and out == ""
+        assert err == (f"error: cannot load knowledge base: {kb}:2:9: "
+                       f"unexpected character '?'\n")
+
+    def test_kb_nested_too_deeply(self, capsys, tmp_path):
+        kb = tmp_path / "deep.kb"
+        kb.write_text("# one formula\n" + "~" * 5000 + "p\n")
+        code, out, err = invoke(capsys, "entails", "p", "--kb", str(kb))
+        assert code == 2 and out == ""
+        assert err == (f"error: cannot load knowledge base: {kb}:2: "
+                       f"formula nested too deeply\n")
+
 
 class TestOracleSat:
     def test_sat(self, capsys):

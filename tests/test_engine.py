@@ -8,13 +8,13 @@ import pytest
 
 from dmt import engine
 from dmt.engine import (
-    Entailed, KnowledgeBase, NotEntailed, Unknown, countermodel,
+    Entailed, KBError, KnowledgeBase, NotEntailed, Unknown, countermodel,
     global_entails, is_valid, kb_to_conditionals, load_kb,
 )
 from dmt.semantics import (
-    InvariantViolation, ModelSignature, PreferentialModel, enumerate_models,
-    extension, holds_at, holds_conditional, min_preferred,
-    satisfies_kb_globally,
+    PARTIAL_ORDERS, InvariantViolation, ModelSignature, PreferentialModel,
+    enumerate_models, extension, holds_at, holds_conditional, min_preferred,
+    satisfies_kb_globally, strict_partial_orders,
 )
 from dmt.syntax import (
     Atom, Bottom, Box, DefBox, Not, Or, atoms_of, modal_depth,
@@ -23,6 +23,38 @@ from dmt.syntax import (
 from conftest import FIXTURES, first_by_loop, random_formula, same_answer
 
 p, q = Atom("p"), Atom("q")
+
+
+class TestLoadKb:
+    def test_comments_and_blank_lines(self, tmp_path):
+        kb = tmp_path / "kb"
+        kb.write_text("# head\n\n  p -> q  # why\n\t\n[a]p\n")
+        assert load_kb(kb).formulas == (parse_formula("p -> q"),
+                                        parse_formula("[a]p"))
+
+    def test_error_column_counts_from_the_line_start(self, tmp_path):
+        kb = tmp_path / "kb"
+        kb.write_text("p\n\n  q &  # cut short\n")
+        with pytest.raises(KBError) as info:
+            load_kb(kb)
+        assert str(info.value) == (
+            f"{kb}:3:8: unexpected end of input, expected one of: "
+            f"(, <, <<, [, [[, false, identifier, true, ~")
+
+
+class TestModelSpaceSize:
+    def test_orders_built_once_match_enumeration(self):
+        for k, orders in PARTIAL_ORDERS.items():
+            names = tuple(f"w{j + 1}" for j in range(k))
+            assert list(orders) == strict_partial_orders(names)
+        assert [len(PARTIAL_ORDERS[k]) for k in (1, 2, 3)] == [1, 3, 19]
+
+    def test_sizes(self):
+        # 5 atoms, 3 modalities: 256 one-world models, 12,582,912 two-world
+        assert engine._model_space_size(5, 3, 1) == 256
+        assert engine._model_space_size(5, 3, 2) == 256 + 12_582_912
+        assert engine._model_space_size(1, 1, 3) == \
+            2 * 2 + 4 * 16 * 3 + 8 * 512 * 19
 
 
 class TestIsValid:

@@ -1,9 +1,12 @@
+import gc
 import json
 import random
+import sys
+import threading
 
 import pytest
 
-from dmt import bitparallel
+from dmt import bitparallel, semantics, syntax
 from dmt.semantics import (
     Conditional, InvariantViolation, ModelError, ModelSignature,
     PreferentialModel, brute_force_satisfiable, enumerate_models,
@@ -71,6 +74,137 @@ class TestValidateModel:
         assert again.preference == figure3.preference
         assert again.relations == figure3.relations
         assert again.valuation == figure3.valuation
+
+
+class TestWorldPairs:
+    RAW = {"worlds": ["a", "b"], "atoms": ["p"], "modalities": ["i"]}
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([["a", "b", "a"]], "relation 'i' entry ['a', 'b', 'a'] "
+                            "is not a pair"),
+        ([["a", ["b"]]], "relation 'i' entry must be a list of names, "
+                         "not ['a', ['b']]"),
+        ([[{}, "b"]], "relation 'i' entry must be a list of names, "
+                      "not [{}, 'b']"),
+        ([["a", 1]], "relation 'i' entry must be a list of names, "
+                     "not ['a', 1]"),
+        (["ab"], "relation 'i' entry must be a list of names, not 'ab'"),
+        ([["a", "zzz"]], "relation 'i' mentions unknown world in "
+                         "['a', 'zzz']"),
+    ])
+    def test_malformed_pair_messages(self, pairs, message):
+        with pytest.raises(ModelError) as info:
+            validate_model({**self.RAW, "relations": {"i": pairs}})
+        assert str(info.value) == message
+
+    def test_tuple_and_list_pairs_give_one_model(self):
+        lists = {**self.RAW, "relations": {"i": [["a", "b"], ["b", "b"]]},
+                 "preference": [["b", "a"]]}
+        tuples = {**self.RAW, "relations": {"i": (("a", "b"), ("b", "b"))},
+                  "preference": (("b", "a"),)}
+        one, other = validate_model(lists), validate_model(tuples)
+        assert one.relations == other.relations == \
+            {"i": frozenset({("a", "b"), ("b", "b")})}
+        assert one.preference == other.preference == frozenset({("b", "a")})
+        assert one.to_json_dict() == other.to_json_dict()
+
+
+class TestMaskCache:
+    @staticmethod
+    def _count_masks(monkeypatch):
+        calls = []
+        real = semantics._masks
+
+        def counted(model, formulas):
+            calls.append(formulas)
+            return real(model, formulas)
+
+        monkeypatch.setattr(semantics, "_masks", counted)
+        return calls
+
+    @staticmethod
+    def _fresh(m):
+        return PreferentialModel(m.worlds, m.atoms, m.modalities, m.relations,
+                                 m.valuation, m.preference)
+
+    def test_holds_at_every_world_is_one_evaluation(self, figure3,
+                                                    monkeypatch):
+        m = self._fresh(figure3)
+        f = parse_formula("h -> <<m>>true & [[f]]~p")
+        calls = self._count_masks(monkeypatch)
+        at = [holds_at(m, w, f) for w in m.worlds]
+        assert len(calls) == 1
+        assert extension(m, f) == {w for w, yes in zip(m.worlds, at) if yes}
+        assert globally_true(m, f) == all(at)
+        assert len(calls) == 1
+
+    def test_alternating_formulas(self, figure3):
+        m = self._fresh(figure3)
+        f, g = parse_formula("[[m]]false"), parse_formula("p")
+        for _ in range(2):
+            assert extension(m, f) == {"w1", "w2", "w3"}
+            assert extension(m, g) == {"w1", "w4"}
+            assert extension(m, f) == {"w1", "w2", "w3"}
+            assert not holds_at(m, "w4", f) and holds_at(m, "w4", g)
+
+    def test_keeps_at_most_one_formula(self, figure3):
+        m = self._fresh(figure3)
+        name = "only_in_test_keeps_at_most_one_formula"
+        f = Not(Atom(name))
+        assert extension(m, f) == set(m.worlds)
+        assert (Atom, name) in syntax._TABLE
+        del f
+        gc.collect()
+        # the cache still holds the first formula
+        assert (Atom, name) in syntax._TABLE
+        extension(m, p)
+        gc.collect()
+        assert (Atom, name) not in syntax._TABLE
+
+    def test_cached_answers_match_a_fresh_model(self):
+        rng = random.Random(43)
+        for _ in range(150):
+            m = random_model(rng, 6, modalities=("a", "b"))
+            pool = [random_formula(rng, rng.randint(1, 8),
+                                   modalities=("a", "b")) for _ in range(3)]
+            for _ in range(8):
+                f = rng.choice(pool)
+                w = rng.choice(m.worlds)
+                fresh = self._fresh(m)
+                assert holds_at(m, w, f) == holds_at(fresh, w, f)
+                assert extension(m, f) == extension(self._fresh(m), f)
+                assert globally_true(m, f) == globally_true(self._fresh(m), f)
+
+    def test_threads_sharing_a_model(self):
+        # the slot is read and replaced whole, so a thread never gets a
+        # mask that belongs to another thread's formula
+        rng = random.Random(44)
+        m = random_model(rng, 12, modalities=("a", "b"), min_worlds=8)
+        pool = [random_formula(rng, 8, modalities=("a", "b"))
+                for _ in range(6)]
+        want = {f: extension(self._fresh(m), f) for f in pool}
+        wrong = []
+
+        def ask(seed):
+            r = random.Random(seed)
+            for _ in range(2000):
+                f = r.choice(pool)
+                if extension(m, f) != want[f]:
+                    wrong.append(f)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(seed,))
+                       for seed in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestMinPreferred:
