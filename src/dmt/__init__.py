@@ -12,7 +12,7 @@ from .semantics import (
 )
 from .tableau import Closed, Open, decide, extract_model, verify_branch_model
 from .engine import (
-    Entailed, KnowledgeBase, NotEntailed, Unknown, countermodel,
+    Entailed, KnowledgeBase, NotEntailed, countermodel,
     global_entails, is_valid, kb_to_conditionals, load_kb,
 )
 

@@ -190,26 +190,18 @@ class Models:
         self.memo[g] = out
         return out
 
-    def first(self, goal, assumptions):
-        """(digits, slot) of the first model in which every assumption
-        holds at every world and goal holds at some world, and of the
-        first such world; None when there is none."""
+    def first(self, goal):
+        """(digits, slot) of the first model in which goal holds at some
+        world, and of the first such world; None when there is none."""
         radices, low, shifts = self.radices, self.low, self.shifts
         for high in itertools.product(*map(range, radices[:low])):
             # the block's high digits, successor rows, and the values of
             # the subformulas met so far, keyed by node
             self.high, self.succ, self.memo = high, {}, {}
-            ok = self.full
-            for g in assumptions:
-                x = self.ev(g)
-                for shift in shifts:
-                    ok &= x >> shift
-            if not ok:
-                continue
             hits = self.ev(goal)
             first = 0
             for shift in shifts:
-                first |= hits >> shift & ok
+                first |= hits >> shift & self.full
             if not first:
                 continue
             m = (first & -first).bit_length() - 1

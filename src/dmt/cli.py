@@ -4,13 +4,13 @@ Subcommands:
     dmt sat "<formula>" [--model-out FILE] [--trace]
     dmt valid "<formula>" [--countermodel-out FILE] [--trace]
     dmt check --model FILE ("<formula>" | "<a> |~ <b>") [--at WORLD | --global]
-    dmt entails --kb FILE "<formula>" [--max-depth N] [--countermodel-out FILE]
+    dmt entails --kb FILE "<formula>" [--countermodel-out FILE]
     dmt oracle-sat "<formula>" --max-worlds N       (N at most 3)
 
 Formulas may be given inline or as @FILE to read from a file.  Exit
 codes: 0 affirmative, 1 negative, 2 usage or input error, 3 resource
-exhaustion or unknown.  DMT_MAX_RULE_APPS and DMT_MAX_LABELS override
-the tableau resource limits.
+exhaustion.  DMT_MAX_RULE_APPS and DMT_MAX_LABELS override the tableau
+resource limits of `sat` and `valid`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import engine
-from .engine import Entailed, KBError, NotEntailed, load_kb
+from .engine import Entailed, KBError, load_kb
 from .semantics import (
     ModelError, brute_force_satisfiable, holds_at, holds_conditional,
     globally_true, load_model, save_model, signature_for,
@@ -151,17 +151,13 @@ def cmd_entails(args):
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot load knowledge base {args.kb}: {exc}")
     f = _read_arg(args.formula)
-    verdict = engine.global_entails(kb, f, max_depth=args.max_depth,
-                                    **_limits())
+    verdict = engine.global_entails(kb, f)
     if isinstance(verdict, Entailed):
-        print(f"ENTAILED (depth {verdict.proved_at_depth})")
+        print(f"ENTAILED ({verdict.survivors} surviving types)")
         return EXIT_YES
-    if isinstance(verdict, NotEntailed):
-        _write_model(verdict.countermodel, args.countermodel_out)
-        print(f"NOT-ENTAILED (witness {verdict.witness_world})")
-        return EXIT_NO
-    print(f"UNKNOWN (depth exhausted at {verdict.depth_exhausted})")
-    return EXIT_RESOURCE
+    _write_model(verdict.countermodel, args.countermodel_out)
+    print(f"NOT-ENTAILED (witness {verdict.witness_world})")
+    return EXIT_NO
 
 
 def cmd_oracle_sat(args):
@@ -211,7 +207,6 @@ def build_parser():
     p = sub.add_parser("entails", help="knowledge-base global entailment")
     p.add_argument("formula")
     p.add_argument("--kb", required=True, metavar="FILE")
-    p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--countermodel-out", metavar="FILE")
     p.set_defaults(func=cmd_entails)
 

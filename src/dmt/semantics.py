@@ -17,25 +17,24 @@ Formulas are evaluated over bitsets, in one of two layouts.
   gave, so asking about one formula at every world costs one
   evaluation; the batched questions (`holds_conditional`,
   `satisfies_kb_globally`) make one `_masks` call each.
-* The brute-force oracle, `first_model`, asks one question of many
-  small models: every model of at most 3 worlds over a signature.  Its
-  bits run across models instead (`bitparallel.Models`): for each world
-  slot j a formula gets one int whose bit m stands for the m-th model
-  of a block of models in `enumerate_models` order.
+* The brute-force oracle, `brute_force_satisfiable`, asks one question
+  of many small models: every model of at most 3 worlds over a
+  signature.  Its bits run across models instead (`bitparallel.Models`):
+  for each world slot j a formula gets one int whose bit m stands for
+  the m-th model of a block of models in `enumerate_models` order.
 
 An explicit model may have many worlds but is one model; the oracle's
 models have at most 3 worlds but there are up to hundreds of thousands
 of them.  Each layout puts its bits where the count is large.
-`first_model` re-checks every model it returns with `_masks`, so the
-oracle's answers are certified by the other evaluator.
+The oracle re-checks every model it returns with `_mask`, so its
+answers are certified by the other evaluator.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .syntax import (
     And, Atom, Bottom, Box, DefBox, DefDia, Dia, Formula, Iff, Implies, Not,
@@ -382,8 +381,7 @@ def satisfies_kb_globally(model: PreferentialModel, kb) -> bool:
 # ---------------------------------------------------------------------------
 # Brute-force oracle
 
-@dataclass(frozen=True)
-class ModelSignature:
+class ModelSignature(NamedTuple):
     atoms: tuple
     modalities: tuple
     max_worlds: int
@@ -459,11 +457,11 @@ def enumerate_models(sig: ModelSignature) -> Iterator[PreferentialModel]:
                                             valuation, order)
 
 
-def first_model(sig: ModelSignature, goal: Formula,
-                assumptions=()) -> Optional[tuple]:
-    """The first model, in `enumerate_models` order, in which every
-    assumption holds at every world and goal holds at some world, with
-    the first such world; None when there is none within the bounds.
+def brute_force_satisfiable(f: Formula,
+                            sig: ModelSignature) -> Optional[tuple]:
+    """The first model, in `enumerate_models` order, in which f holds at
+    some world, with the first such world; None when there is none
+    within the bounds, which says nothing of larger models.
 
     World counts are tried in increasing order, each with all its
     models at once (`bitparallel.Models`).  The answer is the one a
@@ -471,12 +469,11 @@ def first_model(sig: ModelSignature, goal: Formula,
     per-model evaluator before it is returned.
     """
     _check_bounds(sig)
-    assumptions = tuple(assumptions)
     modalities = sig.modalities
     for k in range(1, sig.max_worlds + 1):
         worlds, valuations, relations, orders = _parts(sig, k)
         found = Models(worlds, sig.atoms, modalities, valuations, relations,
-                       orders).first(goal, assumptions)
+                       orders).first(f)
         if found is None:
             continue
         digits, slot = found
@@ -485,22 +482,11 @@ def first_model(sig: ModelSignature, goal: Formula,
             dict(zip(modalities, [relations[c] for c in digits[k:-1]])),
             dict(zip(worlds, [valuations[v] for v in digits[:k]])),
             orders[digits[-1]])
-        full = (1 << k) - 1
-        goal_mask, *masks = _masks(model, (goal, *assumptions))
-        if not goal_mask >> slot & 1 or any(m != full for m in masks):
+        if not _mask(model, f) >> slot & 1:
             raise InvariantViolation(
                 f"oracle model fails the per-model check: {model!r}")
         return model, worlds[slot]
     return None
-
-
-def brute_force_satisfiable(f: Formula,
-                            sig: ModelSignature) -> Optional[tuple]:
-    """First (model, world) satisfying f within the bounds, else None.
-
-    None means only that no model exists within the enumeration bounds.
-    """
-    return first_model(sig, f)
 
 
 def signature_for(formulas, max_worlds: int = 3) -> ModelSignature:

@@ -44,8 +44,7 @@ the events into text when they are read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .syntax import (
     And, Atom, Bottom, Box, DefBox, Formula, Not, desugar, render_formula,
@@ -308,8 +307,7 @@ def step(branch: Branch) -> Optional[list]:
 # ---------------------------------------------------------------------------
 # Verdicts
 
-@dataclass(frozen=True)
-class Closed:
+class Closed(NamedTuple):
     events: tuple       # the events of each closed branch
 
     @property
@@ -317,8 +315,7 @@ class Closed:
         return tuple(_render_trace(e, "branch closed") for e in self.events)
 
 
-@dataclass(frozen=True)
-class Open:
+class Open(NamedTuple):
     branch: Branch
     model: PreferentialModel
 

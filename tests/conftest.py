@@ -73,16 +73,14 @@ def random_model(rng, max_worlds=4, atoms=("p", "q"), modalities=("a",),
 # ---------------------------------------------------------------------------
 # The per-model reference for the bit-parallel oracle
 
-def first_by_loop(sig, goal, assumptions=()):
+def first_by_loop(sig, goal):
     """The reference for the oracle: the first model of
-    `enumerate_models` in which every assumption holds at every world
-    and goal at some world, with the first such world."""
+    `enumerate_models` in which goal holds at some world, with the first
+    such world."""
     for m in enumerate_models(sig):
-        full = (1 << len(m.worlds)) - 1
-        if all(_mask(m, g) == full for g in assumptions):
-            mask = _mask(m, goal)
-            if mask:
-                return m, m.worlds[(mask & -mask).bit_length() - 1]
+        mask = _mask(m, goal)
+        if mask:
+            return m, m.worlds[(mask & -mask).bit_length() - 1]
     return None
 
 

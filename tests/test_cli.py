@@ -1,11 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dmt.cli import run
+from dmt.engine import MAX_FREE_ITEMS
 from dmt.semantics import load_model, holds_at
 from dmt.syntax import parse_formula, render_formula
 from conftest import FIXTURES
@@ -123,6 +127,30 @@ class TestEntails:
         assert code == 2 and out == ""
         assert err == (f"error: cannot load knowledge base: {kb}:2: "
                        f"formula nested too deeply\n")
+
+
+    def test_free_items_over_the_cap(self, capsys, tmp_path):
+        kb = tmp_path / "wide.kb"
+        kb.write_text(" | ".join(f"p{j}" for j in range(MAX_FREE_ITEMS + 1)))
+        code, out, err = invoke(capsys, "entails", "p0", "--kb", str(kb))
+        assert code == 3 and out == ""
+        assert err.startswith("resource limit: ")
+
+    def test_countermodel_file_is_deterministic(self, tmp_path):
+        # formulas hash by address, so a run that walked a set would
+        # number the types, and name the worlds, differently
+        files = []
+        for seed in ("1", "2"):
+            target = tmp_path / f"cm{seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=str(FIXTURES.parent / "src"))
+            run = subprocess.run(
+                [sys.executable, "-m", "dmt.cli", "entails", "h", "--kb", KB,
+                 "--countermodel-out", str(target)],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert run.returncode == 1, run.stderr
+            files.append(target.read_bytes())
+        assert files[0] == files[1]
 
 
 class TestOracleSat:

@@ -8,7 +8,7 @@ import pytest
 
 from dmt import engine
 from dmt.engine import (
-    Entailed, KBError, KnowledgeBase, NotEntailed, Unknown, countermodel,
+    Entailed, KBError, KnowledgeBase, NotEntailed, countermodel,
     global_entails, is_valid, kb_to_conditionals, load_kb,
 )
 from dmt.semantics import (
@@ -17,10 +17,11 @@ from dmt.semantics import (
     satisfies_kb_globally, strict_partial_orders,
 )
 from dmt.syntax import (
-    Atom, Bottom, Box, DefBox, Not, Or, atoms_of, modal_depth,
-    modalities_of, parse_formula,
+    And, Atom, Bottom, Box, DefBox, Not, Or, desugar, parse_formula,
+    subformulas,
 )
-from conftest import FIXTURES, first_by_loop, random_formula, same_answer
+from dmt.tableau import ResourceLimitError
+from conftest import FIXTURES, random_formula
 
 p, q = Atom("p"), Atom("q")
 
@@ -48,13 +49,6 @@ class TestModelSpaceSize:
             names = tuple(f"w{j + 1}" for j in range(k))
             assert list(orders) == strict_partial_orders(names)
         assert [len(PARTIAL_ORDERS[k]) for k in (1, 2, 3)] == [1, 3, 19]
-
-    def test_sizes(self):
-        # 5 atoms, 3 modalities: 256 one-world models, 12,582,912 two-world
-        assert engine._model_space_size(5, 3, 1) == 256
-        assert engine._model_space_size(5, 3, 2) == 256 + 12_582_912
-        assert engine._model_space_size(1, 1, 3) == \
-            2 * 2 + 4 * 16 * 3 + 8 * 512 * 19
 
 
 class TestIsValid:
@@ -124,7 +118,6 @@ class TestGlobalEntails:
     def test_power_plant_entailments(self, power_kb, query):
         verdict = global_entails(power_kb, parse_formula(query))
         assert isinstance(verdict, Entailed)
-        assert verdict.proved_at_depth <= 2
 
     @pytest.mark.parametrize("query", [
         "p -> <<f>>~h",
@@ -132,17 +125,21 @@ class TestGlobalEntails:
         "c -> <<f>>~h",
     ])
     def test_entailed_within_default_limits(self, power_kb, query):
-        # entailed (bench/README.md proves the first, and h and c force
-        # ~h at the minimal f-successors the same way), within the
-        # default rule-application limit
+        # entailed: bench/README.md proves the first, and h and c force
+        # ~h at the minimal f-successors the same way
         verdict = global_entails(power_kb, parse_formula(query))
         assert isinstance(verdict, Entailed)
 
-    @pytest.mark.parametrize("query", ["c -> [f]c", "r -> [g]r"])
-    def test_two_world_countermodels_found(self, power_kb, query):
-        # each needs a 2-world countermodel from the brute-force fallback
-        kb = KnowledgeBase(power_kb.formulas + (
-            parse_formula("r -> [g]s"), parse_formula("s -> <<g>>r")))
+    @pytest.mark.parametrize("extended, query", [
+        (True, "c -> [f]c"), (True, "r -> [g]r"), (False, "~c -> <f>~p"),
+    ], ids=["c -> [f]c", "r -> [g]r", "~c -> <f>~p"])
+    def test_countermodels_found(self, power_kb, extended, query):
+        # the smallest countermodels have 2, 2 and 3 worlds (bench/README.md
+        # and bench/tests/test_bench_reference.py give them)
+        kb = power_kb
+        if extended:
+            kb = KnowledgeBase(power_kb.formulas + (
+                parse_formula("r -> [g]s"), parse_formula("s -> <<g>>r")))
         f = parse_formula(query)
         verdict = global_entails(kb, f)
         assert isinstance(verdict, NotEntailed)
@@ -155,9 +152,16 @@ class TestGlobalEntails:
         assert len(verdict.countermodel.worlds) == 1
         assert not holds_at(verdict.countermodel, verdict.witness_world, p)
 
-    def test_max_depth_below_query_depth_rejected(self):
-        with pytest.raises(ValueError):
-            global_entails(KnowledgeBase(()), Box("a", p), max_depth=0)
+    def test_free_items_over_the_cap(self, monkeypatch):
+        # one more atom than the cap: refused before any mask is built
+        def no_masks(*args):
+            raise AssertionError("a mask was built")
+
+        monkeypatch.setattr(engine, "_spread", no_masks)
+        atoms = [f"p{j}" for j in range(engine.MAX_FREE_ITEMS + 1)]
+        kb = KnowledgeBase((parse_formula(" | ".join(atoms)),))
+        with pytest.raises(ResourceLimitError):
+            global_entails(kb, parse_formula("p0"))
 
     def test_not_entailed_certificate(self, power_kb):
         verdict = global_entails(power_kb, parse_formula("h"))
@@ -190,11 +194,16 @@ class TestEntailmentProperties:
         return True, None
 
     def test_entailed_verdicts_sound_against_oracle(self):
+        # and the converse: a 2-world model of the KB that refutes the
+        # query makes the verdict NotEntailed
+        refuted = 0
         for kb, query in small_kb_corpus(61, 60):
             verdict = global_entails(kb, query)
-            if isinstance(verdict, Entailed):
-                ok, refuting = self._oracle_entails(kb, query)
-                assert ok, (kb, query, refuting)
+            ok, refuting = self._oracle_entails(kb, query)
+            assert isinstance(verdict, Entailed) == ok, \
+                (kb, query, refuting)
+            refuted += not ok
+        assert 10 < refuted < 50
 
     def test_not_entailed_certificates_verify(self):
         for kb, query in small_kb_corpus(62, 60):
@@ -206,12 +215,11 @@ class TestEntailmentProperties:
                                     verdict.witness_world, query)
 
     def test_inclusion(self):
-        # each KB member is entailed, proved at the first depth tried
+        # each KB member is entailed
         for kb, _ in small_kb_corpus(63, 30):
             for f in kb.formulas:
                 verdict = global_entails(kb, f)
                 assert isinstance(verdict, Entailed)
-                assert verdict.proved_at_depth == modal_depth(f)
 
     def test_monotonicity(self):
         rng = random.Random(64)
@@ -234,43 +242,72 @@ class TestEntailmentProperties:
                     all(holds_conditional(m, c) for c in conds)
 
 
-def refutation_by_loop(kb, f):
-    """The fallback's search as a loop over `enumerate_models`, with the
-    fallback's world bound."""
-    atoms, modalities = atoms_of(f), modalities_of(f)
-    for g in kb.formulas:
-        atoms |= atoms_of(g)
-        modalities |= modalities_of(g)
-    max_worlds = max((k for k in (1, 2, 3) if engine._model_space_size(
-        len(atoms), len(modalities), k) <= engine._BRUTE_FORCE_BUDGET),
-        default=0)
-    if not max_worlds:
-        return None, atoms, modalities
-    sig = ModelSignature(tuple(sorted(atoms)), tuple(sorted(modalities)),
-                         max_worlds)
-    return first_by_loop(sig, Not(f), kb.formulas), atoms, modalities
+def elimination_by_loop(kb, f):
+    """The reference for global_entails: type elimination one type at a
+    time, a type being a dict from item to truth value.  The number of
+    surviving types, and whether one of them holds ~f."""
+    roots = [desugar(g) for g in kb.formulas] + [Not(desugar(f))]
+    items = [g for g in subformulas(*roots)
+             if isinstance(g, (Atom, Box, DefBox))]
+
+    def holds(t, g):
+        if isinstance(g, Not):
+            return not holds(t, g.operand)
+        if isinstance(g, And):
+            return holds(t, g.left) and holds(t, g.right)
+        return not isinstance(g, Bottom) and t[g]
+
+    def met(t, kept):
+        for i in {g.modality for g in items if not isinstance(g, Atom)}:
+            boxes = [g for g in items
+                     if not isinstance(g, Atom) and g.modality == i]
+            b = [g.operand for g in boxes if isinstance(g, Box) and t[g]]
+            bd = b + [g.operand for g in boxes if isinstance(g, DefBox)
+                      and t[g]]
+            demands = [g for g in boxes if not t[g]]
+            # a minimal successor, then a witness per demand
+            needs = [bd] + [
+                (bd if isinstance(g, DefBox) else b) + [Not(g.operand)]
+                for g in demands] if demands else []
+            if not all(any(all(holds(s, x) for x in need) for s in kept)
+                       for need in needs):
+                return False
+        return True
+
+    types = [dict(zip(items, bits))
+             for bits in itertools.product((False, True), repeat=len(items))]
+    kept = [t for t in types if all(holds(t, g) for g in roots[:-1])]
+    while True:
+        survivors = [t for t in kept if met(t, kept)]
+        if len(survivors) == len(kept):
+            return len(kept), any(holds(t, roots[-1]) for t in kept)
+        kept = survivors
+
+
+class TestEliminationByLoop:
+    def test_matches_type_by_type_loop(self):
+        power = load_kb(FIXTURES / "powerplant.kb")
+        cases = list(small_kb_corpus(68, 60)) + [
+            (power, parse_formula(text)) for text in
+            ("p -> [[f]]~h", "p -> <<f>>~h", "h", "~c -> <f>~p")]
+        entailed = 0
+        for kb, query in cases:
+            verdict = global_entails(kb, query)
+            survivors, refuted = elimination_by_loop(kb, query)
+            assert isinstance(verdict, NotEntailed) == refuted, (kb, query)
+            if not refuted:
+                entailed += 1
+                assert verdict.survivors == survivors, (kb, query)
+        assert 10 < entailed < len(cases) - 10
 
 
 class TestBruteForceRefutation:
-    def test_matches_per_model_loop(self):
-        cases = list(small_kb_corpus(62, 40))
-        power = load_kb(FIXTURES / "powerplant.kb")
-        cases += [(power, parse_formula(q))
-                  for q in ("h", "~c -> [f]c", "p -> [[f]]~h")]
-        hits = 0
-        for kb, query in cases:
-            expected, atoms, modalities = refutation_by_loop(kb, query)
-            found = engine._brute_force_refutation(kb, query, atoms,
-                                                   modalities)
-            assert same_answer(found, expected), (kb, query)
-            hits += expected is not None
-        assert 5 < hits < len(cases) - 5
-
     @pytest.mark.parametrize("valuation", [{}, {"w1": ["q"]}],
                              ids=["kb-fails", "query-holds"])
     def test_bad_countermodel_rejected(self, monkeypatch, valuation):
-        # KB <a>true: the tableau's model has a world without successor,
-        # so global_entails asks the fallback
+        # the elimination search, under its old name, hands back a model
+        # that global_entails must refuse: the KB <a>true fails at w1
+        # without a successor, or the query q holds there
         bad = PreferentialModel(["w1"], ["q"], ["a"],
                                 {"a": {("w1", "w1")} if valuation else set()},
                                 valuation, [])

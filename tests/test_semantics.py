@@ -10,7 +10,7 @@ from dmt import bitparallel, semantics, syntax
 from dmt.semantics import (
     Conditional, InvariantViolation, ModelError, ModelSignature,
     PreferentialModel, brute_force_satisfiable, enumerate_models,
-    extension, first_model, globally_true, holds_at, holds_conditional,
+    extension, globally_true, holds_at, holds_conditional,
     min_preferred, satisfies_kb_globally, strict_partial_orders,
     transitive_closure, validate_model,
 )
@@ -371,14 +371,13 @@ class TestBitParallelOracle:
             make = lambda size: random_formula(
                 rng, size, atoms=("p", "q", "r"), modalities=("a", "b", "c"))
             goal = make(rng.randint(1, 9))
-            kb = [make(rng.randint(1, 5)) for _ in range(rng.randint(0, 2))]
-            expected = first_by_loop(sig, goal, kb)
+            # conjuncts that the oracle once took as global assumptions
+            for _ in range(rng.randint(0, 2)):
+                goal = And(goal, make(rng.randint(1, 5)))
+            expected = first_by_loop(sig, goal)
             nones += expected is None
-            assert same_answer(first_model(sig, goal, kb), expected), \
-                (sig, goal, kb)
-            if not kb:
-                assert same_answer(brute_force_satisfiable(goal, sig),
-                                   expected)
+            assert same_answer(brute_force_satisfiable(goal, sig),
+                               expected), (sig, goal)
         assert 20 < nones < 130
 
     def test_defeasible_against_classical(self):
@@ -429,7 +428,7 @@ class TestBitParallelOracle:
     def test_certificate_rechecked(self, monkeypatch):
         # an answer the per-model evaluator refutes is never returned
         monkeypatch.setattr(bitparallel.Models, "first",
-                            lambda self, goal, assumptions: ([0, 0, 0], 0))
+                            lambda self, goal: ([0, 0, 0], 0))
         with pytest.raises(InvariantViolation):
             brute_force_satisfiable(p, ModelSignature(("p",), ("a",), 1))
 
