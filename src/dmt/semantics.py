@@ -9,14 +9,18 @@ Formulas are evaluated over bitsets, in one of two layouts.
 
 * For one explicit model, `_masks` gives the worlds satisfying each of
   a batch of formulas as one int: bit j stands for `model.worlds[j]`.
-  It reads tables that a model builds in its constructor: the bit of
-  each world, a mask per atom, per modality a successor row and a
-  minimal-successor row per world, and the preferred worlds of each
-  world.  `extension`, `holds_at` and `globally_true` read one
-  formula's mask through `_mask`, which keeps the last mask a model
-  gave, so asking about one formula at every world costs one
-  evaluation; the batched questions (`holds_conditional`,
-  `satisfies_kb_globally`) make one `_masks` call each.
+  A model is its bitset rows: per modality a successor row per world,
+  and per world a row of the worlds preferred to it; from them it
+  builds, once, a mask per atom and per modality a minimal-successor
+  row per world, which `_masks` reads.  `validate_model` reads a model
+  file straight into rows and closes the preference there; the pairs
+  of `relations` and `preference` are decoded only when read, and
+  evaluation never reads them.  `extension`, `holds_at` and
+  `globally_true` read one formula's mask through `_mask`, which keeps
+  the last mask a model gave, so asking about one formula at every
+  world costs one evaluation; the batched questions
+  (`holds_conditional`, `satisfies_kb_globally`) make one `_masks`
+  call each.
 * The brute-force oracle, `brute_force_satisfiable`, asks one question
   of many small models: every model of at most 3 worlds over a
   signature.  Its bits run across models instead (`bitparallel.Models`):
@@ -69,15 +73,40 @@ def _rows(pairs, index):
     return rows
 
 
+def _row_pairs(rows, worlds):
+    """The pairs that bitset rows encode: (worlds[j], worlds[k]) for each
+    bit k of each row j."""
+    for a, row in zip(worlds, rows):
+        while row:
+            low = row & -row
+            yield a, worlds[low.bit_length() - 1]
+            row ^= low
+
+
 class PreferentialModel:
     """Worlds, per-modality accessibility, valuation, and preference.
 
-    ``preference`` holds pairs (a, b) meaning a is strictly preferred to
-    (more normal than) b, stored transitively closed.  The evaluator's
-    tables are built here, once: the bit of each world, a mask per atom,
-    per modality a successor row and a minimal-successor row per world,
-    and the preferred worlds of each world.  Instances must therefore
-    not be changed after construction: the tables would not follow.
+    The model is its bitset rows, bit j standing for ``worlds[j]``: per
+    modality a successor row per world (``_succ``), and per world the
+    worlds preferred to it (``_pred``), transitively closed.  From them
+    the constructor derives the evaluator's other tables once: a mask
+    per atom and, per modality, a minimal-successor row per world.
+    Instances must therefore not be changed after construction: the
+    tables would not follow.
+
+    The constructor takes pairs: ``relations`` maps a modality to pairs
+    (a, b), b accessible from a, and ``preference`` holds pairs (a, b)
+    meaning a is strictly preferred to (more normal than) b, already
+    transitively closed.  It turns them into rows once.
+    `validate_model` builds the rows itself and never makes pairs.
+
+    ``relations`` and ``preference`` are read-only views in those pair
+    forms (a dict of frozensets, a frozenset), decoded from the rows on
+    first read and then kept, each in one slot set by one assignment.
+    Evaluation never reads them; `to_json_dict`, `save_model` and
+    ``repr`` do.  Decoding them when a model is built would cost a
+    ``dmt check`` of a large model most of what the rows save: the
+    preference closure of n worlds in a chain has n(n-1)/2 pairs.
 
     ``_last`` is a one-slot cache, ``(formula, mask)``, of the last
     formula `_mask` evaluated on the model.  One slot is enough for the
@@ -88,29 +117,63 @@ class PreferentialModel:
     paired with another formula's mask.
     """
 
-    __slots__ = ("worlds", "atoms", "modalities", "relations", "valuation",
-                 "preference", "_index", "_val", "_succ", "_min_succ", "_pred",
-                 "_last")
+    __slots__ = ("worlds", "atoms", "modalities", "valuation", "_index",
+                 "_val", "_succ", "_min_succ", "_pred", "_relations",
+                 "_preference", "_last")
 
     def __init__(self, worlds, atoms, modalities, relations, valuation,
                  preference):
+        worlds = tuple(worlds)
+        index = {w: j for j, w in enumerate(worlds)}
+        self._build(worlds, index, atoms, modalities,
+                    {i: _rows(pairs, index) for i, pairs in relations.items()},
+                    valuation, _rows(((b, a) for a, b in preference), index))
+
+    @classmethod
+    def _from_rows(cls, worlds, index, atoms, modalities, succ, valuation,
+                   pred):
+        """A model from its rows: `succ` maps a modality to a successor
+        row per world, `pred` is a closed predecessor row per world;
+        `index` maps each world to its position in `worlds`."""
+        model = cls.__new__(cls)
+        model._build(worlds, index, atoms, modalities, succ, valuation, pred)
+        return model
+
+    def _build(self, worlds, index, atoms, modalities, succ, valuation, pred):
         self.worlds = tuple(worlds)
         self.atoms = frozenset(atoms)
         self.modalities = frozenset(modalities)
-        self.relations = {i: frozenset(pairs) for i, pairs in relations.items()}
         self.valuation = {w: frozenset(v) for w, v in valuation.items()}
-        self.preference = frozenset(preference)
-        index = self._index = {w: j for j, w in enumerate(self.worlds)}
+        self._index = index
         val = self._val = {}
         for w, names in self.valuation.items():
             for p in names:
                 val[p] = val.get(p, 0) | 1 << index[w]
-        self._succ = {i: _rows(pairs, index)
-                      for i, pairs in self.relations.items()}
-        self._pred = _rows(((b, a) for a, b in self.preference), index)
+        self._succ = succ
+        self._pred = pred
         self._min_succ = {i: [_minimal(self, row) for row in rows]
-                          for i, rows in self._succ.items()}
+                          for i, rows in succ.items()}
+        self._relations = self._preference = None
         self._last = (_NO_FORMULA, 0)
+
+    @property
+    def relations(self):
+        """Per modality, the pairs (a, b) with b accessible from a."""
+        view = self._relations
+        if view is None:
+            view = self._relations = {
+                i: frozenset(_row_pairs(rows, self.worlds))
+                for i, rows in self._succ.items()}
+        return view
+
+    @property
+    def preference(self):
+        """The pairs (a, b) with a strictly preferred to b, closed."""
+        view = self._preference
+        if view is None:
+            view = self._preference = frozenset(
+                (a, b) for b, a in _row_pairs(self._pred, self.worlds))
+        return view
 
     def successors(self, modality, world):
         j = self._index.get(world)
@@ -136,23 +199,16 @@ class PreferentialModel:
                 f"valuation={{...}}, preference={sorted(self.preference)})")
 
 
-def transitive_closure(pairs):
-    """The transitive closure of a relation, by Warshall's algorithm over
-    one bitset row per element."""
-    pairs = list(pairs)
-    index = {}
-    for pair in pairs:
-        for x in pair:
-            index.setdefault(x, len(index))
-    rows = _rows(pairs, index)
+def transitive_closure(rows):
+    """Close a relation given as bitset rows (bit k of row j: j is
+    related to k) transitively, in place, by Warshall's algorithm;
+    returns rows.  The relation is acyclic when no row j has bit j."""
     for k, row_k in enumerate(rows):
         bit = 1 << k
         for i, row in enumerate(rows):
             if row & bit:
                 rows[i] = row | row_k
-    elements = list(index)
-    return {(a, b) for a, row in zip(elements, rows)
-            for j, b in enumerate(elements) if row >> j & 1}
+    return rows
 
 
 def _name_list(value, what):
@@ -162,26 +218,35 @@ def _name_list(value, what):
     return value
 
 
-def _world_pairs(value, world_set, what):
+def _world_pairs(value, index, what, reverse=False):
+    """A relation in file format, a list of pairs [a, b] of world names,
+    checked and read as one bitset row per world: bit index[b] of row
+    index[a] is set for each pair, or bit index[a] of row index[b] with
+    `reverse`."""
     if not isinstance(value, (list, tuple)):
         raise ModelError(f"{what} must be a list of pairs, not {value!r}")
-    pairs = set()
+    rows = [0] * len(index)
+    get = index.get
     for pair in value:
-        # the common case in one test; anything else takes the checks
-        # below, which name the fault
+        # a list or tuple of two str passes on type tests alone;
+        # anything else takes the checks, which name the fault
         t = type(pair)
-        if (t is list or t is tuple) and len(pair) == 2:
-            a, b = pair
-            if type(a) is str and type(b) is str and \
-                    a in world_set and b in world_set:
-                pairs.add((a, b))
-                continue
-        if len(_name_list(pair, f"{what} entry")) != 2:
+        if not ((t is list or t is tuple) and len(pair) == 2) and \
+                len(_name_list(pair, f"{what} entry")) != 2:
             raise ModelError(f"{what} entry {pair!r} is not a pair")
-        if not set(pair) <= world_set:
+        a, b = pair
+        if type(a) is not str or type(b) is not str:
+            # raises unless both are instances of a str subclass; tested
+            # before the lookup, so an unhashable name cannot raise
+            # TypeError
+            _name_list(pair, f"{what} entry")
+        j, k = get(a), get(b)
+        if j is None or k is None:
             raise ModelError(f"{what} mentions unknown world in {pair!r}")
-        pairs.add(tuple(pair))
-    return pairs
+        if reverse:
+            j, k = k, j
+        rows[j] |= 1 << k
+    return rows
 
 
 def _mapping(raw, key):
@@ -196,7 +261,10 @@ def validate_model(raw: dict) -> PreferentialModel:
 
     Rejects malformed entries, dangling world references, preference
     cycles, and an empty world set.  A preference entry ["a", "b"]
-    asserts a is preferred to b.
+    asserts a is preferred to b.  The relations and the preference are
+    read straight into bitset rows, the preference is closed and checked
+    for cycles on them, and the model is built from them: no set of
+    pairs is made (see `PreferentialModel`).
     """
     try:
         worlds = raw["worlds"]
@@ -205,35 +273,36 @@ def validate_model(raw: dict) -> PreferentialModel:
     worlds = _name_list(worlds, "'worlds'")
     if not worlds:
         raise ModelError("the set of worlds must be non-empty")
-    if len(set(worlds)) != len(worlds):
+    index = {w: j for j, w in enumerate(worlds)}
+    if len(index) != len(worlds):
         raise ModelError("duplicate world ids")
-    world_set = set(worlds)
     atoms = set(_name_list(raw.get("atoms", []), "'atoms'"))
     modalities = set(_name_list(raw.get("modalities", []), "'modalities'"))
 
     valuation = {}
     for w, names in _mapping(raw, "valuation").items():
-        if w not in world_set:
+        if w not in index:
             raise ModelError(f"valuation mentions unknown world {w!r}")
         for p in _name_list(names, f"valuation of {w!r}"):
             if p not in atoms:
                 raise ModelError(f"valuation mentions undeclared atom {p!r}")
         valuation[w] = frozenset(names)
 
-    relations = {}
+    succ = {}
     for i, pairs in _mapping(raw, "relations").items():
         if i not in modalities:
             raise ModelError(f"relation for undeclared modality {i!r}")
-        relations[i] = _world_pairs(pairs, world_set, f"relation {i!r}")
+        succ[i] = _world_pairs(pairs, index, f"relation {i!r}")
 
-    pref = transitive_closure(
-        _world_pairs(raw.get("preference", []), world_set, "preference"))
-    for w in worlds:
-        if (w, w) in pref:
+    # a closed predecessor row per world: bit a of row b for a before b
+    pred = transitive_closure(_world_pairs(
+        raw.get("preference", []), index, "preference", reverse=True))
+    for j, w in enumerate(worlds):
+        if pred[j] >> j & 1:
             raise ModelError(f"preference has a cycle through {w!r}")
 
-    return PreferentialModel(worlds, atoms, modalities, relations, valuation,
-                             pref)
+    return PreferentialModel._from_rows(worlds, index, atoms, modalities,
+                                        succ, valuation, pred)
 
 
 def load_model(path) -> PreferentialModel:

@@ -391,6 +391,10 @@ def _bottom_up(f, combine):
     stack = [f]
     while stack:
         g = stack[-1]
+        if g in value:
+            # pushed by a second parent before the first combined it
+            stack.pop()
+            continue
         kids = children(g)
         pending = [k for k in kids if k not in value]
         if pending:

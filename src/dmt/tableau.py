@@ -51,7 +51,8 @@ from .syntax import (
     subformulas,
 )
 from .semantics import (
-    InvariantViolation, PreferentialModel, _masks, transitive_closure,
+    InvariantViolation, PreferentialModel, _masks, _row_pairs, _rows,
+    transitive_closure,
 )
 
 DEFAULT_MAX_RULE_APPS = 10_000
@@ -428,8 +429,9 @@ def extract_model(branch: Branch) -> PreferentialModel:
             modalities.add(g.modality)
     relations = {i: {(world_name(a), world_name(b)) for a, b in edges}
                  for i, edges in branch.skeleton.items()}
-    pref = transitive_closure((world_name(a), world_name(b))
-                              for a, b in branch.preference)
+    index = {n: j for j, n in enumerate(labels)}
+    pref = _row_pairs(transitive_closure(_rows(branch.preference, index)),
+                      worlds)
     return PreferentialModel(worlds, atoms, modalities, relations, valuation,
                              pref)
 

@@ -10,17 +10,17 @@ from dmt import bitparallel, semantics, syntax
 from dmt.semantics import (
     Conditional, InvariantViolation, ModelError, ModelSignature,
     PreferentialModel, brute_force_satisfiable, enumerate_models,
-    extension, globally_true, holds_at, holds_conditional,
-    min_preferred, satisfies_kb_globally, strict_partial_orders,
+    extension, globally_true, holds_at, holds_conditional, load_model,
+    min_preferred, satisfies_kb_globally, save_model, strict_partial_orders,
     transitive_closure, validate_model,
 )
 from dmt.syntax import (
     And, Atom, Bottom, Box, DefBox, DefDia, Dia, Iff, Implies, Not, Or, Top,
-    desugar, is_classical, parse_formula,
+    desugar, is_classical, parse_formula, parse_statement,
 )
 from conftest import (
-    FIXTURES, first_by_loop, random_formula, random_model, random_order,
-    same_answer,
+    FIXTURES, first_by_loop, naive_closure, random_formula, random_model,
+    random_order, same_answer,
 )
 
 p, h = Atom("p"), Atom("h")
@@ -109,6 +109,188 @@ class TestWorldPairs:
         assert one.to_json_dict() == other.to_json_dict()
 
 
+def _pairs_by_old_path(raw):
+    """`validate_model` as it was before models were built from rows:
+    each relation checked into a set of pairs, the preference closed by
+    a fixpoint over pairs, then the pairs constructor.  The reference
+    for the differential test: the model with its relations and closed
+    preference as pair sets."""
+    name_list, mapping = semantics._name_list, semantics._mapping
+
+    def world_pairs(value, world_set, what):
+        if not isinstance(value, (list, tuple)):
+            raise ModelError(f"{what} must be a list of pairs, not {value!r}")
+        pairs = set()
+        for pair in value:
+            if len(name_list(pair, f"{what} entry")) != 2:
+                raise ModelError(f"{what} entry {pair!r} is not a pair")
+            if not set(pair) <= world_set:
+                raise ModelError(f"{what} mentions unknown world in {pair!r}")
+            pairs.add(tuple(pair))
+        return pairs
+
+    try:
+        worlds = raw["worlds"]
+    except (KeyError, TypeError):
+        raise ModelError("model data must contain a 'worlds' list")
+    worlds = name_list(worlds, "'worlds'")
+    if not worlds:
+        raise ModelError("the set of worlds must be non-empty")
+    if len(set(worlds)) != len(worlds):
+        raise ModelError("duplicate world ids")
+    world_set = set(worlds)
+    atoms = set(name_list(raw.get("atoms", []), "'atoms'"))
+    modalities = set(name_list(raw.get("modalities", []), "'modalities'"))
+    valuation = {}
+    for w, names in mapping(raw, "valuation").items():
+        if w not in world_set:
+            raise ModelError(f"valuation mentions unknown world {w!r}")
+        for p in name_list(names, f"valuation of {w!r}"):
+            if p not in atoms:
+                raise ModelError(f"valuation mentions undeclared atom {p!r}")
+        valuation[w] = frozenset(names)
+    relations = {}
+    for i, pairs in mapping(raw, "relations").items():
+        if i not in modalities:
+            raise ModelError(f"relation for undeclared modality {i!r}")
+        relations[i] = world_pairs(pairs, world_set, f"relation {i!r}")
+    pref = naive_closure(
+        world_pairs(raw.get("preference", []), world_set, "preference"))
+    for w in worlds:
+        if (w, w) in pref:
+            raise ModelError(f"preference has a cycle through {w!r}")
+    return (PreferentialModel(worlds, atoms, modalities, relations,
+                              valuation, pref), relations, pref)
+
+
+def _random_raw(rng):
+    """A model in file format: 1-64 worlds, relations of density 0-0.3,
+    a chain, DAG or cyclic preference, list or tuple pairs, duplicate
+    pairs, and in about a third of them one malformed part."""
+    n = rng.randint(1, 64)
+    worlds = [f"w{j}" for j in range(n)]
+    rng.shuffle(worlds)
+    density = rng.uniform(0, 0.3)
+    pair = rng.choice([list, tuple])
+
+    def with_duplicates(pairs):
+        pairs = [pair(x) for x in pairs]
+        pairs += [pair(x) for x in rng.sample(pairs, len(pairs) // 4)]
+        rng.shuffle(pairs)
+        return pairs
+
+    relations = {i: with_duplicates((a, b) for a in worlds for b in worlds
+                                    if rng.random() < density)
+                 for i in ("a", "b") if rng.random() < 0.8}
+    perm = rng.sample(worlds, n)
+    kind = rng.choice(["chain", "dag", "cyclic"])
+    if kind == "chain":
+        order = list(zip(perm, perm[1:]))
+    else:
+        order = [(perm[i], perm[j]) for i in range(n)
+                 for j in range(i + 1, n) if rng.random() < density]
+        if kind == "cyclic":
+            i, j = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+            order += list(zip(perm[i:j], perm[i + 1:j + 1]))
+            order.append((perm[j], perm[i]))
+    raw = {"worlds": worlds, "atoms": ["p", "q"],
+           "modalities": ["a", "b", "c"],
+           "valuation": {w: [x for x in ("p", "q") if rng.random() < 0.5]
+                         for w in worlds if rng.random() < 0.9},
+           "relations": relations, "preference": with_duplicates(order)}
+    if rng.random() < 0.35:
+        w = worlds[0]
+        fault = rng.choice([
+            [w], [w, w, w], [w, 1], [1, w], "ab", [[w], w], [w, {}],
+            [w, "nowhere"], ("nowhere", w), {"x": w}, 7, None])
+        where = rng.choice(["preference"] + list(relations))
+        target = raw["relations"].get(where, raw["preference"])
+        target.insert(rng.randint(0, len(target)), fault)
+        if rng.random() < 0.2:
+            raw = rng.choice([
+                {**raw, "relations": {**relations, "d": []}},
+                {**raw, "relations": {"a": "not pairs"}},
+                {**raw, "preference": {"w0": "w1"}},
+                {**raw, "valuation": {"nowhere": []}},
+                {**raw, "valuation": {w: ["r"]}},
+                {**raw, "worlds": worlds + [w]},
+            ])
+    return raw
+
+
+class TestRowsAgainstPairs:
+    def test_validate_model_matches_the_pair_path(self):
+        rng = random.Random(47)
+        kinds = {"model": 0, "error": 0, "cycle": 0}
+        for _ in range(160):
+            raw = _random_raw(rng)
+            try:
+                want, relations, pref = _pairs_by_old_path(raw)
+            except ModelError as error:
+                with pytest.raises(ModelError) as info:
+                    validate_model(raw)
+                assert str(info.value) == str(error)
+                kinds["cycle" if "cycle" in str(error) else "error"] += 1
+                continue
+            kinds["model"] += 1
+            got = validate_model(raw)
+            assert got.worlds == want.worlds
+            assert got.valuation == want.valuation
+            assert got.relations == relations
+            assert got.preference == pref
+            assert got.to_json_dict() == want.to_json_dict()
+            for _ in range(4):
+                f = random_formula(rng, rng.randint(1, 10),
+                                   modalities=("a", "b", "c"))
+                assert semantics._mask(got, f) == semantics._mask(want, f)
+        assert min(kinds.values()) > 15, kinds
+
+
+class TestPairViews:
+    RAW = {"worlds": ["w1", "w2", "w3", "w4"], "atoms": ["p"],
+           "modalities": ["a", "b"],
+           "relations": {"a": [["w1", "w2"], ["w1", "w3"], ["w4", "w4"]],
+                         "b": []},
+           "valuation": {"w2": ["p"], "w4": ["p"]},
+           "preference": [["w2", "w3"], ["w3", "w1"]]}
+
+    def test_evaluation_never_decodes_pairs(self, monkeypatch, tmp_path):
+        # w2 before w3 before w1; w1 sees w2 and w3, w4 sees itself
+        f = parse_formula("<<a>>p & ~[a]p")
+        cond = parse_statement("<a>true |~ p")
+
+        def no_pairs(rows, worlds):
+            raise AssertionError("pairs decoded")
+
+        monkeypatch.setattr(semantics, "_row_pairs", no_pairs)
+        m = validate_model(self.RAW)
+        assert extension(m, f) == {"w1"}
+        assert [holds_at(m, w, f) for w in m.worlds] == \
+            [True, False, False, False]
+        assert holds_at(m, "w1", parse_formula("[[a]]p"))
+        assert not globally_true(m, f)
+        assert holds_conditional(m, cond) is False
+        assert min_preferred(m, ["w1", "w3", "w4"]) == {"w3", "w4"}
+        monkeypatch.undo()
+
+        assert m.preference == {("w2", "w3"), ("w3", "w1"), ("w2", "w1")}
+        assert m.preference is m.preference
+        assert m.relations is m.relations
+        path = tmp_path / "m.json"
+        save_model(m, path)
+        again = load_model(path)
+        assert again.preference == m.preference
+        assert again.relations == m.relations
+        assert again.to_json_dict() == m.to_json_dict()
+
+    def test_views_are_read_only(self):
+        m = validate_model(self.RAW)
+        with pytest.raises(AttributeError):
+            m.preference = frozenset()
+        with pytest.raises(AttributeError):
+            m.relations = {}
+
+
 class TestMaskCache:
     @staticmethod
     def _count_masks(monkeypatch):
@@ -177,17 +359,23 @@ class TestMaskCache:
 
     def test_threads_sharing_a_model(self):
         # the slot is read and replaced whole, so a thread never gets a
-        # mask that belongs to another thread's formula
+        # mask that belongs to another thread's formula; the pair views
+        # are set whole too, by whichever threads decode them first
         rng = random.Random(44)
         m = random_model(rng, 12, modalities=("a", "b"), min_worlds=8)
+        twin = random_model(random.Random(44), 12, modalities=("a", "b"),
+                            min_worlds=8)
         pool = [random_formula(rng, 8, modalities=("a", "b"))
                 for _ in range(6)]
-        want = {f: extension(self._fresh(m), f) for f in pool}
-        wrong = []
+        want = {f: extension(self._fresh(twin), f) for f in pool}
+        want_views = (twin.relations, twin.preference)
+        wrong, views = [], []
 
         def ask(seed):
             r = random.Random(seed)
-            for _ in range(2000):
+            for n in range(2000):
+                if n % 500 == 0:
+                    views.append((m.relations, m.preference))
                 f = r.choice(pool)
                 if extension(m, f) != want[f]:
                     wrong.append(f)
@@ -205,6 +393,9 @@ class TestMaskCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
+        assert len(views) == 32
+        assert all(v == want_views for v in views)
+        assert m.preference is m.preference
 
 
 class TestMinPreferred:
@@ -525,15 +716,6 @@ def _defined_truth_uncached(m, w, f, memo):
     return any(at(v, f.operand) for v in succ)
 
 
-def _naive_closure(pairs):
-    closed = set(pairs)
-    while True:
-        new = {(a, d) for a, b in closed for c, d in closed if b == c}
-        if new <= closed:
-            return closed
-        closed |= new
-
-
 def test_evaluator_matches_definitions():
     rng = random.Random(41)
     # the second formulas come from their own generator, so that the
@@ -564,4 +746,8 @@ def test_evaluator_matches_definitions():
         n = rng.randint(1, 12)
         pairs = {(rng.randrange(n), rng.randrange(n))
                  for _ in range(rng.randint(0, 2 * n))}
-        assert transitive_closure(pairs) == _naive_closure(pairs)
+        rows = semantics._rows(pairs, {j: j for j in range(n)})
+        closed = transitive_closure(rows)
+        assert closed is rows
+        assert set(semantics._row_pairs(closed, range(n))) == \
+            naive_closure(pairs)

@@ -162,6 +162,21 @@ class TestStructure:
         assert is_classical(Box("a", Not(p)))
         assert not is_classical(DefDia("a", p))
 
+    def test_bottom_up_combines_each_node_once(self):
+        # ~p and the desugared <-> share nodes, so some are pushed by
+        # two parents before either has combined them
+        rng = random.Random(12)
+        fs = [desugar(parse_formula("p & ~p & (q <-> r)"))] + \
+            [desugar(random_formula(rng, rng.randint(1, 12)))
+             for _ in range(200)]
+        counts = []
+        for f in fs:
+            calls = []
+            syntax._bottom_up(f, lambda g, values: calls.append(g))
+            assert len(calls) == len(set(calls)) == len(subformulas(f))
+            counts.append(len(calls))
+        assert counts[0] == 13
+
 
 def iff_chain(n):
     return " <-> ".join(f"p{i}" for i in range(n))
